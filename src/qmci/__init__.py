@@ -55,6 +55,7 @@ from .qae import (
     QaeResult,
     benchmark_circuit,
     eis_schedule,
+    estimate_amplitude,
     grover_operator,
     grover_operator_tilde,
     iqae,
@@ -97,7 +98,8 @@ __all__ = [
     "build_A_circuit", "allocate_uses", "rmse_bound", "qmci_estimate",
     "QaeProblem", "QaeConfig", "QaeResult", "benchmark_circuit",
     "grover_operator", "grover_operator_tilde", "eis_schedule",
-    "pam", "mlqae", "iqae", "lcu_prepare", "lcu_likelihood", "lcu_qae", "run_qae",
+    "estimate_amplitude", "pam", "mlqae", "iqae", "lcu_prepare", "lcu_likelihood",
+    "lcu_qae", "run_qae",
     "EstimatorStats", "SweepReport", "estimator_stats", "bootstrap_ci",
     "amplitude_sweep",
     "QmciPlan", "FtSolution", "ResourceReport", "build_plan", "nisq_report",

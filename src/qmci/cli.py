@@ -61,11 +61,6 @@ def _atomic_write(path: str, text: str):
 
 
 def _dump_json(obj) -> str:
-    def default(o):
-        if isinstance(o, float) and math.isinf(o):
-            return "inf"
-        raise TypeError(o)
-
     def sanitise(o):
         if isinstance(o, float) and math.isinf(o):
             return "inf"
@@ -184,37 +179,44 @@ def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
 # estimate
 
 
-_QAE_KEYS = {"qae", "p_max_fail", "posterior_grid", "seed"}
+_QAE_KEYS = {"qae", "p_max_fail", "seed"}
+_QUANTITY_KEYS = {"quantity", "dimension", "condition", "x_star", "target_rmse",
+                  "q_total", "support_window"}
 
 
-def _qae_kind(cfg: dict) -> tuple[str, float, int | None]:
+def _qae_kind(cfg: dict) -> tuple[str, float]:
     qcfg = cfg.get("qae", {})
     _check_keys(qcfg, _QAE_KEYS, set(), "qae")
     kind = qcfg.get("qae", "MLQAE")
     if kind not in qae_mod.C_QAE_REFERENCE:
         raise SchemaError(f"qae: unknown kind {kind!r}")
-    grid = qcfg.get("posterior_grid")
-    return kind, float(qcfg.get("p_max_fail", 0.5)), int(grid) if grid else None
+    return kind, float(qcfg.get("p_max_fail", 0.5))
 
 
-def _run_payoff_config(dc, cfg, qae_kind, q_total, target_rmse, seed,
-                       p_max_fail=0.5, posterior_grid=None):
-    if cfg.quantity == "BernoulliQubit":
-        qs = fourier_mod.quantity_series("BernoulliQubit", (0.0, 1.0))
-        dim = 0
-    else:
-        pay = dc.dims[cfg.dimension]
-        qs = fourier_mod.quantity_series(
-            cfg.quantity, cfg.support_window or (pay.x_l, pay.x_u)
-        )
-        qs.x_star = cfg.x_star
-        qs.support_window = cfg.support_window
-        dim = cfg.dimension
-    return fourier_mod.qmci_estimate(
-        dc, qs, dim, qae_kind, q_total=q_total, target_rmse=target_rmse,
-        seed=seed, condition=cfg.condition,
-        lcu_p_max_fail=p_max_fail, posterior_grid=posterior_grid,
+def _quantity_block(qcfg: dict) -> pb_mod.PayoffConfig:
+    """The ``quantity`` block of an estimate or resources config."""
+    _check_keys(qcfg, _QUANTITY_KEYS, {"quantity"}, "quantity")
+    window = qcfg.get("support_window")
+    x_star = qcfg.get("x_star")
+    return pb_mod.PayoffConfig(
+        qcfg["quantity"], int(qcfg.get("dimension", 0)), qcfg.get("condition"),
+        x_star=None if x_star is None else float(x_star),
+        support_window=tuple(window) if window else None,
     )
+
+
+def _quantity_spec(dc, pc: pb_mod.PayoffConfig) -> tuple[fourier_mod.QuantitySpec, int]:
+    """The quantity descriptor of one payoff config, and its dimension."""
+    if pc.quantity not in fourier_mod.QUANTITY_KINDS:
+        raise SchemaError(f"quantity: unknown kind {pc.quantity!r}")
+    if pc.quantity == "BernoulliQubit":
+        return fourier_mod.quantity_series("BernoulliQubit", (0.0, 1.0)), 0
+    d = dc.dims[pc.dimension]
+    qs = fourier_mod.quantity_series(pc.quantity, pc.support_window or (d.x_l, d.x_u))
+    if pc.x_star is not None:
+        qs.x_star = pc.x_star
+    qs.support_window = pc.support_window
+    return qs, pc.dimension
 
 
 def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
@@ -225,9 +227,16 @@ def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
         "estimate",
     )
     seed = int(cfg["seed"])
-    qae_kind, p_max_fail, posterior_grid = _qae_kind(cfg)
+    qae_kind, p_max_fail = _qae_kind(cfg)
     unit = _load_distribution(cfg["distribution"])
     out: dict = {"qae": qae_kind, "seed": seed}
+
+    def run(dc, pc, q_total, target_rmse, seed):
+        qs, dim = _quantity_spec(dc, pc)
+        return fourier_mod.qmci_estimate(
+            dc, qs, dim, qae_kind, q_total=q_total, target_rmse=target_rmse,
+            seed=seed, condition=pc.condition, lcu_p_max_fail=p_max_fail,
+        )
 
     if "instrument" in cfg:
         spec = pb_mod.InstrumentSpec.from_dict(cfg["instrument"])
@@ -235,40 +244,15 @@ def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
         total = 0.0
         runs = []
         for i, pc in enumerate(pcfgs):
-            res = _run_payoff_config(
-                dc, pc, qae_kind, spec.q_budget, spec.target_rmse, seed + i,
-                p_max_fail, posterior_grid,
-            )
+            res = run(dc, pc, spec.q_budget, spec.target_rmse, seed + i)
             total += pc.scale * res.estimate + pc.offset
             runs.append({"config": pc.to_dict(), **res.to_dict()})
         out["payoff"] = total
         out["runs"] = runs
     elif "quantity" in cfg:
         qcfg = cfg["quantity"]
-        _check_keys(
-            qcfg,
-            {"quantity", "dimension", "condition", "x_star", "target_rmse",
-             "q_total", "support_window"},
-            {"quantity"},
-            "quantity",
-        )
-        dim = int(qcfg.get("dimension", 0))
-        d = unit.dims[dim]
-        window = qcfg.get("support_window")
-        support = tuple(window) if window else (d.x_l, d.x_u)
-        qs = fourier_mod.quantity_series(qcfg["quantity"], support)
-        if qcfg.get("x_star") is not None:
-            qs.x_star = float(qcfg["x_star"])
-        qs.support_window = tuple(window) if window else None
-        res = fourier_mod.qmci_estimate(
-            unit, qs, dim, qae_kind,
-            q_total=qcfg.get("q_total"),
-            target_rmse=qcfg.get("target_rmse"),
-            seed=seed,
-            condition=qcfg.get("condition"),
-            lcu_p_max_fail=p_max_fail,
-            posterior_grid=posterior_grid,
-        )
+        res = run(unit, _quantity_block(qcfg), qcfg.get("q_total"),
+                  qcfg.get("target_rmse"), seed)
         out.update(res.to_dict())
     else:
         raise SchemaError("estimate: give 'quantity' or 'instrument'")
@@ -292,21 +276,11 @@ def cmd_resources(cfg: dict, out_dir: str) -> list[str]:
     mode = cfg["mode"]
     if mode not in ("nisq", "ft", "ft_tight"):
         raise SchemaError(f"resources: unknown mode {mode!r}")
-    qae_kind, _, _ = _qae_kind(cfg)
+    qae_kind, _ = _qae_kind(cfg)
     unit = _load_distribution(cfg["distribution"])
 
     def plan_for(dc, pc, q_total, target_rmse):
-        if pc.quantity == "BernoulliQubit":
-            qs = fourier_mod.quantity_series("BernoulliQubit", (0.0, 1.0))
-            dim = 0
-        else:
-            pay = dc.dims[pc.dimension]
-            qs = fourier_mod.quantity_series(
-                pc.quantity, pc.support_window or (pay.x_l, pay.x_u)
-            )
-            qs.x_star = pc.x_star
-            qs.support_window = pc.support_window
-            dim = pc.dimension
+        qs, dim = _quantity_spec(dc, pc)
         return res_mod.build_plan(
             dc, qs, dim, qae_kind, q_total=q_total,
             target_rmse=target_rmse, condition=pc.condition,
@@ -321,20 +295,8 @@ def cmd_resources(cfg: dict, out_dir: str) -> list[str]:
         ]
     elif "quantity" in cfg:
         qcfg = cfg["quantity"]
-        dim = int(qcfg.get("dimension", 0))
-        d = unit.dims[dim]
-        window = qcfg.get("support_window")
-        support = tuple(window) if window else (d.x_l, d.x_u)
-        qs = fourier_mod.quantity_series(qcfg["quantity"], support)
-        qs.support_window = tuple(window) if window else None
-        plans = [
-            res_mod.build_plan(
-                unit, qs, dim, qae_kind,
-                q_total=qcfg.get("q_total"),
-                target_rmse=qcfg.get("target_rmse"),
-                condition=qcfg.get("condition"),
-            )
-        ]
+        plans = [plan_for(unit, _quantity_block(qcfg), qcfg.get("q_total"),
+                          qcfg.get("target_rmse"))]
     else:
         raise SchemaError("resources: give 'quantity' or 'instrument'")
 
@@ -400,7 +362,11 @@ def _one_sweep(cfg: dict) -> rob_mod.SweepReport:
 
 def cmd_qae_sweep(cfg: dict, out_dir: str) -> list[str]:
     sweeps = cfg["sweeps"] if "sweeps" in cfg else [cfg]
-    threads = max(1, int(os.environ.get("QMCI_THREADS", "1")))
+    env = os.environ.get("QMCI_THREADS", "1")
+    try:
+        threads = max(1, int(env))
+    except ValueError:
+        raise SchemaError(f"QMCI_THREADS must be an integer, got {env!r}") from None
     if threads > 1 and len(sweeps) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             reports = list(pool.map(_one_sweep, sweeps))

@@ -434,22 +434,6 @@ def _substream_seed(seed: int, m: int, trig: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _run_qae_amp(kind, a, q, seed, lcu_p_max_fail=0.5, posterior_grid=None):
-    if kind == "PAM":
-        return qae_mod.pam_from_amplitude(a, q, seed)
-    if kind == "MLQAE":
-        grid = min(posterior_grid or 20_001, 200_001)
-        return qae_mod.mlqae_from_amplitude(a, q, seed, grid_size=grid)
-    if kind == "IQAE":
-        return qae_mod.iqae_from_amplitude(a, q, seed)
-    if kind == "LCU":
-        if q < qae_mod.DEFAULT_SHOTS_M0:
-            return qae_mod.mlqae_from_amplitude(a, q, seed)  # sub-round budgets
-        grid = posterior_grid or qae_mod.DEFAULT_POSTERIOR_GRID
-        return qae_mod.lcu_from_amplitude(a, q, lcu_p_max_fail, seed, grid_size=grid)
-    raise ValueError(f"unknown QAE kind {kind!r}")
-
-
 _PMF_CACHE: dict = {}
 
 
@@ -474,7 +458,6 @@ def qmci_estimate(
     seed: int = 0,
     condition: int | None = None,
     lcu_p_max_fail: float = 0.5,
-    posterior_grid: int | None = None,
 ) -> QmciResult:
     """Estimate the quantity over one dimension of a distribution circuit.
 
@@ -494,8 +477,8 @@ def qmci_estimate(
                 raise ValueError("give q_total or target_rmse")
             q_total = max(1, math.ceil(c_ref / target_rmse))
         a_val = float(_cached_pmf(dc.circuit, [dc.indicators[condition]])[1])
-        res = _run_qae_amp(qae_kind, a_val, q_total, _substream_seed(seed, 0, "cos"),
-                           lcu_p_max_fail, posterior_grid)
+        res = qae_mod.estimate_amplitude(qae_kind, a_val, q_total,
+                                         _substream_seed(seed, 0, "cos"), lcu_p_max_fail)
         lam = res.lam
         bound = c_ref / (q_total if lam == 2 else math.sqrt(q_total))
         return QmciResult(res.a_hat, bound, q_total, [(0, "bernoulli", q_total, res.a_hat)])
@@ -558,8 +541,8 @@ def qmci_estimate(
         if conditional:
             a_val += p_rest * math.sin(0.5 * (m * series.omega * x_star_n - beta)) ** 2
         a_val = min(1.0, max(0.0, a_val))
-        res = _run_qae_amp(qae_kind, a_val, q_m, _substream_seed(seed, m, trig),
-                           lcu_p_max_fail, posterior_grid)
+        res = qae_mod.estimate_amplitude(qae_kind, a_val, q_m,
+                                         _substream_seed(seed, m, trig), lcu_p_max_fail)
         estimate_n += coeff * (1.0 - 2.0 * res.a_hat)
         per_harmonic.append((m, trig, q_m, res.a_hat))
 

@@ -19,9 +19,16 @@ Shots are simulated without re-running circuits per shot: the amplitude of
 A is computed once by exact state-vector simulation, after which outcome
 draws follow the closed-form likelihoods (the test suite verifies those
 likelihoods against direct simulation of the composed circuits).
+
+Each ``*_from_amplitude`` estimator is vectorised over repeats: with
+``repeats=n`` it returns the estimates of n independent runs drawn in
+order from one generator seeded by ``seed``; without, it runs a batch of
+one and returns its ``QaeResult``.  ``estimate_amplitude`` dispatches on
+the estimator kind.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -32,9 +39,13 @@ from .simulator import marginal_pmf, simulate
 
 C_QAE_REFERENCE = {"PAM": 0.5, "MLQAE": 8.02, "IQAE": 14.4, "LCU": 7.82}
 
-DEFAULT_SHOTS_M0 = 66
-DEFAULT_SHOTS_OTHER = 44
-DEFAULT_POSTERIOR_GRID = 100_001
+SHOTS_M0 = 66  # shots of the m = 0 round of an EIS schedule
+SHOTS_OTHER = 44  # shots of every full round at m >= 1
+MLQAE_GRID = 20_001  # coarse theta grid of the MLQAE maximum search
+MLQAE_REFINE = 801  # local grid spanning the coarse maximum's neighbours
+DEFAULT_POSTERIOR_GRID = 10_001  # theta grid of the LCU posterior
+IQAE_SHOTS_PER_ROUND = 100
+IQAE_MAX_ROUNDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -53,9 +64,6 @@ class QaeConfig:
     q: int = 1000
     seed: int = 0
     p_max_fail: float = 0.5
-    shots_m0: int = DEFAULT_SHOTS_M0
-    shots_other: int = DEFAULT_SHOTS_OTHER
-    posterior_grid_size: int = DEFAULT_POSTERIOR_GRID
 
     def __post_init__(self):
         if self.kind not in C_QAE_REFERENCE:
@@ -73,7 +81,7 @@ class QaeResult:
     lam: int
     c_qae_reference: float
     uses_expected_total: float | None = None  # LCU only: includes failed preps
-    fallback: bool = False  # IQAE only: budget too small, ran PAM
+    fallback: bool = False  # budget too small: IQAE ran PAM, LCU ran MLQAE
 
     def __post_init__(self):
         if not 0.0 <= self.a_hat <= 1.0:
@@ -137,9 +145,7 @@ def benchmark_circuit(theta: float) -> QaeProblem:
 # shot scheduling shared by MLQAE / LCU QAE (and resource mode)
 
 
-def eis_schedule(
-    q: int, shots_m0: int = DEFAULT_SHOTS_M0, shots_other: int = DEFAULT_SHOTS_OTHER
-) -> list[tuple[int, int]]:
+def eis_schedule(q: int) -> list[tuple[int, int]]:
     """Spread ``q`` uses over the exponentially increasing sequence of
     Grover powers m in {0, 1, 2, 4, 8, ...}.
 
@@ -153,21 +159,21 @@ def eis_schedule(
         raise ValueError("budget must be >= 1")
     shots: dict[int, int] = {}
     rem = q
-    first = min(shots_m0, rem)
+    first = min(SHOTS_M0, rem)
     shots[0] = first
     rem -= first
     m_star = 0
     m = 1
-    while rem >= shots_other * (2 * m + 1):
-        shots[m] = shots_other
-        rem -= shots_other * (2 * m + 1)
+    while rem >= SHOTS_OTHER * (2 * m + 1):
+        shots[m] = SHOTS_OTHER
+        rem -= SHOTS_OTHER * (2 * m + 1)
         m_star = m
         m *= 2
-    if rem >= shots_other:
-        m_prime = (rem // shots_other - 1) // 2
+    if rem >= SHOTS_OTHER:
+        m_prime = (rem // SHOTS_OTHER - 1) // 2
         if m_prime > m_star:
-            shots[m_prime] = shots_other
-            rem -= shots_other * (2 * m_prime + 1)
+            shots[m_prime] = SHOTS_OTHER
+            rem -= SHOTS_OTHER * (2 * m_prime + 1)
     for level in sorted(shots, reverse=True):
         take = rem // (2 * level + 1)
         if take:
@@ -181,16 +187,22 @@ def schedule_uses(schedule: list[tuple[int, int]]) -> int:
     return sum(s * (2 * m + 1) for m, s in schedule)
 
 
+def _n_runs(repeats: int | None) -> int:
+    return 1 if repeats is None else repeats
+
+
 # --------------------------------------------------------------------------
 # PAM
 
 
-def pam_from_amplitude(a: float, q: int, seed: int = 0) -> QaeResult:
+def pam_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None = None):
     if q < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
-    a_hat = float(rng.binomial(q, a)) / q
-    return QaeResult(a_hat, q, 1, C_QAE_REFERENCE["PAM"])
+    a_hat = rng.binomial(q, a, size=_n_runs(repeats)) / q
+    if repeats is not None:
+        return a_hat
+    return QaeResult(float(a_hat[0]), q, 1, C_QAE_REFERENCE["PAM"])
 
 
 def pam(problem: QaeProblem, q: int, seed: int = 0) -> QaeResult:
@@ -202,102 +214,73 @@ def pam(problem: QaeProblem, q: int, seed: int = 0) -> QaeResult:
 # MLQAE
 
 
-def _theta_grid(grid_size: int) -> np.ndarray:
-    return np.linspace(0.0, math.pi / 2.0, grid_size)
+_THETA_GRID = np.linspace(0.0, math.pi / 2.0, MLQAE_GRID)
 
 
-def _mlqae_loglik(grid, levels, hits, shots):
-    ll = np.zeros_like(grid)
-    with np.errstate(divide="ignore"):
-        for (m, n), h in zip(zip(levels, shots), hits):
-            x = (2 * m + 1) * grid
-            if h:
-                ll += 2.0 * h * np.log(np.abs(np.sin(x)))
-            if n - h:
-                ll += 2.0 * (n - h) * np.log(np.abs(np.cos(x)))
-    return ll
+def _log_abs(f, x, out=None) -> np.ndarray:
+    """log|f(x)|, floored at -5e5 so that 0 hits times log 0 adds 0."""
+    out = f(x, out=out)
+    np.abs(out, out=out)
+    np.log(out, out=out)
+    return np.maximum(out, -5e5, out=out)
 
 
-def _mle_refine(levels, hits, shots, lo, hi, points=2001):
-    grid = np.linspace(lo, hi, points)
-    ll = _mlqae_loglik(grid, levels, hits, shots)
-    return float(grid[int(np.argmax(ll))])
-
-
-def mlqae_from_amplitude(
-    a: float,
-    q: int,
-    seed: int = 0,
-    grid_size: int = 20_001,
-    shots_m0: int = DEFAULT_SHOTS_M0,
-    shots_other: int = DEFAULT_SHOTS_OTHER,
-) -> QaeResult:
-    theta = math.asin(math.sqrt(a))
-    schedule = eis_schedule(q, shots_m0, shots_other)
-    rng = np.random.default_rng(seed)
-    levels = [m for m, _ in schedule]
-    shots = [s for _, s in schedule]
-    hits = [
-        int(rng.binomial(s, math.sin((2 * m + 1) * theta) ** 2))
-        for (m, s) in schedule
-    ]
-    grid = _theta_grid(grid_size)
-    ll = _mlqae_loglik(grid, levels, hits, shots)
-    i = int(np.argmax(ll))
-    step = grid[1] - grid[0]
-    lo = max(0.0, grid[i] - step)
-    hi = min(math.pi / 2.0, grid[i] + step)
-    theta_hat = _mle_refine(levels, hits, shots, lo, hi)
-    return QaeResult(
-        math.sin(theta_hat) ** 2, q, 2, C_QAE_REFERENCE["MLQAE"]
-    )
-
-
-def mlqae(
-    problem: QaeProblem,
-    q: int,
-    seed: int = 0,
-    grid_size: int = 20_001,
-    shots_m0: int = DEFAULT_SHOTS_M0,
-    shots_other: int = DEFAULT_SHOTS_OTHER,
-) -> QaeResult:
-    """Maximum-likelihood QAE over the EIS schedule.
+def _mlqae_theta(levels, shots, hits) -> np.ndarray:
+    """Maximum-likelihood theta of every row of ``hits``: the best point
+    of a coarse grid, refined on a local grid spanning its neighbours.
 
     Outcome counts at level m are binomial with success probability
-    sin^2((2m+1) theta); the discrete posterior over theta is maximised on
-    a coarse grid and refined locally, and a_hat = sin^2(theta_mle).
+    sin^2((2m+1) theta), so the log-likelihood weighs log|sin((2m+1) theta)|
+    by twice the hits and log|cos((2m+1) theta)| by twice the misses.
+    Terms that no repeat weighs are skipped.  The coarse table is built in
+    blocks of at most 2^15 entries, which stay cache-resident.
     """
-    return mlqae_from_amplitude(
-        amplitude(problem), q, seed, grid_size, shots_m0, shots_other
-    )
+    weights = np.concatenate((hits, shots - hits), axis=1) * 2.0
+    used = weights.any(axis=0)
+    n_sin = int(used[:len(levels)].sum())  # sin terms come first
+    weights, mult = weights[:, used], np.concatenate((levels, levels))[used, None] * 2.0 + 1.0
+    ll = np.empty((len(hits), _THETA_GRID.size))
+    block = 2**15 // len(mult)
+    with np.errstate(divide="ignore"):
+        for start in range(0, _THETA_GRID.size, block):
+            x = mult * _THETA_GRID[start:start + block]
+            _log_abs(np.sin, x[:n_sin], x[:n_sin])
+            _log_abs(np.cos, x[n_sin:], x[n_sin:])
+            ll[:, start:start + block] = weights @ x
+        best = _THETA_GRID[np.argmax(ll, axis=1)]
+        step = _THETA_GRID[1]
+        lo = np.maximum(0.0, best - step)
+        hi = np.minimum(math.pi / 2.0, best + step)
+        # np.linspace(lo, hi, MLQAE_REFINE, axis=1), without its overhead
+        local = np.arange(MLQAE_REFINE) * ((hi - lo) / (MLQAE_REFINE - 1))[:, None] + lo[:, None]
+        local[:, -1] = hi
+        ll = np.zeros_like(local)
+        for j, k in enumerate(mult[:, 0]):
+            ll += weights[:, j, None] * _log_abs(np.sin if j < n_sin else np.cos, k * local)
+    return local[np.arange(len(hits)), np.argmax(ll, axis=1)]
 
 
-def _mlqae_batch(a: float, q: int, n_rep: int, seed: int, grid_size: int = 20_001):
-    """Vectorised MLQAE repeats at one true amplitude (for sweeps)."""
+def mlqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None = None):
     theta = math.asin(math.sqrt(a))
     schedule = eis_schedule(q)
-    rng = np.random.default_rng(seed)
     levels = np.array([m for m, _ in schedule])
     shots = np.array([s for _, s in schedule])
+    rng = np.random.default_rng(seed)
     probs = np.sin((2 * levels + 1) * theta) ** 2
-    hits = rng.binomial(shots[None, :], probs[None, :], size=(n_rep, len(levels)))
-    grid = _theta_grid(grid_size)
-    with np.errstate(divide="ignore"):
-        log_s = 2.0 * np.log(np.abs(np.sin(np.outer(2 * levels + 1, grid))))
-        log_c = 2.0 * np.log(np.abs(np.cos(np.outer(2 * levels + 1, grid))))
-    # finite floor: 0 hits times -inf would poison the matmul with NaNs
-    np.maximum(log_s, -1e6, out=log_s)
-    np.maximum(log_c, -1e6, out=log_c)
-    ll = hits.astype(np.float64) @ log_s + (shots - hits).astype(np.float64) @ log_c
-    best = np.argmax(ll, axis=1)
-    step = grid[1] - grid[0]
-    out = np.empty(n_rep)
-    for r in range(n_rep):
-        lo = max(0.0, grid[best[r]] - step)
-        hi = min(math.pi / 2.0, grid[best[r]] + step)
-        th = _mle_refine(levels, hits[r], shots, lo, hi, points=801)
-        out[r] = math.sin(th) ** 2
-    return out
+    hits = rng.binomial(shots, probs, size=(_n_runs(repeats), len(levels)))
+    a_hat = np.array([math.sin(t) ** 2 for t in _mlqae_theta(levels, shots, hits)])
+    if repeats is not None:
+        return a_hat
+    return QaeResult(float(a_hat[0]), q, 2, C_QAE_REFERENCE["MLQAE"])
+
+
+def mlqae(problem: QaeProblem, q: int, seed: int = 0) -> QaeResult:
+    """Maximum-likelihood QAE over the EIS schedule.
+
+    The likelihood over theta is maximised on a coarse grid and refined
+    locally, and a_hat = sin^2(theta_mle).
+    """
+    return mlqae_from_amplitude(amplitude(problem), q, seed)
 
 
 # --------------------------------------------------------------------------
@@ -362,13 +345,7 @@ def _find_next_k(k: int, upper_half: bool, frac_interval, min_ratio: float = 2.0
     return k, upper_half
 
 
-def iqae(
-    problem: QaeProblem,
-    q: int,
-    seed: int = 0,
-    shots_per_round: int = 100,
-    max_rounds: int = 100_000,
-) -> QaeResult:
+def iqae(problem: QaeProblem, q: int, seed: int = 0) -> QaeResult:
     """Iterative QAE wrapped to take a use budget.
 
     opt_ae picks the (epsilon, alpha) whose worst-case query count matches
@@ -377,24 +354,11 @@ def iqae(
     the midpoint of the final amplitude interval.  Falls back to PAM when
     the budget admits no feasible (epsilon, alpha).
     """
-    return iqae_from_amplitude(amplitude(problem), q, seed, shots_per_round, max_rounds)
+    return iqae_from_amplitude(amplitude(problem), q, seed)
 
 
-def iqae_from_amplitude(
-    a: float,
-    q: int,
-    seed: int = 0,
-    shots_per_round: int = 100,
-    max_rounds: int = 100_000,
-) -> QaeResult:
-    pair = opt_ae(q)
-    if pair is None:
-        res = pam_from_amplitude(a, q, seed)
-        return QaeResult(res.a_hat, q, 1, C_QAE_REFERENCE["IQAE"], fallback=True)
-    eps_theta, alpha = pair
-    theta = math.asin(math.sqrt(a))
-    frac = theta / (2.0 * math.pi)  # true value, as fraction of the circle
-    rng = np.random.default_rng(seed)
+def _iqae_run(theta: float, q: int, eps_theta: float, alpha: float, rng) -> tuple[float, int]:
+    """One IQAE run: (a_hat, uses spent)."""
     rounds_budget = max(1, math.ceil(math.log2(math.pi / (8.0 * eps_theta))))
     alpha_i = alpha / rounds_budget
     f_lo, f_hi = 0.0, 0.25
@@ -402,14 +366,14 @@ def iqae_from_amplitude(
     rem = q
     n_acc = h_acc = 0  # shots accumulated at the current k
     rounds = 0
-    while rem > 0 and rounds < max_rounds:
+    while rem > 0 and rounds < IQAE_MAX_ROUNDS:
         rounds += 1
         cost = 2 * k + 1
         if rem < cost:
             k, upper_half = 0, True
             n_acc = h_acc = 0
             cost = 1
-        n_shots = min(shots_per_round, rem // cost)
+        n_shots = min(IQAE_SHOTS_PER_ROUND, rem // cost)
         if n_shots == 0:
             break
         rem -= n_shots * cost
@@ -444,8 +408,22 @@ def iqae_from_amplitude(
             n_acc = h_acc = 0
     a_lo = math.sin(2.0 * math.pi * f_lo) ** 2
     a_hi = math.sin(2.0 * math.pi * f_hi) ** 2
-    a_hat = min(1.0, max(0.0, 0.5 * (a_lo + a_hi)))
-    return QaeResult(a_hat, q - rem, 2, C_QAE_REFERENCE["IQAE"])
+    return min(1.0, max(0.0, 0.5 * (a_lo + a_hi))), q - rem
+
+
+def iqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None = None):
+    pair = opt_ae(q)
+    if pair is None:
+        res = pam_from_amplitude(a, q, seed, repeats=repeats)
+        if repeats is not None:
+            return res
+        return QaeResult(res.a_hat, q, 1, C_QAE_REFERENCE["IQAE"], fallback=True)
+    theta = math.asin(math.sqrt(a))
+    rng = np.random.default_rng(seed)
+    runs = [_iqae_run(theta, q, *pair, rng) for _ in range(_n_runs(repeats))]
+    if repeats is not None:
+        return np.array([a_hat for a_hat, _ in runs])
+    return QaeResult(runs[0][0], runs[0][1], 2, C_QAE_REFERENCE["IQAE"])
 
 
 # --------------------------------------------------------------------------
@@ -504,9 +482,27 @@ def grover_operator_tilde(problem: QaeProblem) -> QuantumCircuit:
     return grover_operator(QaeProblem(a_tilde, problem.good_qubit))
 
 
-def lcu_likelihood(category: int, beta: float, m: int, theta: float) -> float:
+def _lcu_plane(m: int, tilde: bool, theta: np.ndarray):
+    """cos and sin of the good-outcome angle, and of the rotation by m
+    amplification steps, in the plane of A (angle theta) or, for
+    ``tilde``, of A~ (angle pi/2 - theta)."""
+    if tilde:
+        arg = 2 * m * (math.pi / 2.0 - theta)
+        return np.sin(theta), np.cos(theta), np.cos(arg), np.sin(arg)
+    arg = 2 * m * theta
+    return np.cos(theta), np.sin(theta), np.cos(arg), np.sin(arg)
+
+
+def _lcu_prob(category: int, beta: float, plane):
+    c, s, cos_rot, sin_rot = plane
+    s = (1.0 if category in (1, 3) else -1.0) * math.cos(beta) * s
+    rot_s = s * cos_rot + c * sin_rot
+    return rot_s * rot_s / (c * c + s * s)
+
+
+def lcu_likelihood(category: int, beta: float, m: int, theta):
     """P(good qubit = 1) after m amplification steps on a post-selected
-    LCU preparation.
+    LCU preparation; array-valued in ``theta``.
 
     Categories 1-2 live in the invariant plane of A and are amplified with
     Q (rotation by 2 theta per step); categories 3-4 live in the invariant
@@ -518,29 +514,11 @@ def lcu_likelihood(category: int, beta: float, m: int, theta: float) -> float:
         raise ValueError("category must be 1..4")
     if m < 0:
         raise ValueError("m must be >= 0")
-    f = math.cos(beta)
-    if category in (1, 2):
-        sign = 1.0 if category == 1 else -1.0
-        c = math.cos(theta)
-        s = sign * f * math.sin(theta)
-        rot = 2.0 * m * theta
-    else:
-        sign = 1.0 if category == 3 else -1.0
-        theta_t = math.pi / 2.0 - theta
-        c = math.cos(theta_t)
-        s = sign * f * math.sin(theta_t)
-        rot = 2.0 * m * theta_t
-    n2 = c * c + s * s
-    rot_s = s * math.cos(rot) + c * math.sin(rot)
-    return float(rot_s * rot_s / n2)
+    p = _lcu_prob(category, beta, _lcu_plane(m, category > 2, np.asarray(theta, dtype=float)))
+    return float(p) if np.ndim(p) == 0 else p
 
 
-def _lcu_shot_plan(
-    q: int,
-    p_max_fail: float,
-    shots_m0: int = DEFAULT_SHOTS_M0,
-    shots_other: int = DEFAULT_SHOTS_OTHER,
-):
+def _lcu_shot_plan(q: int, p_max_fail: float):
     """Deterministic (m, category, beta, count) groups for a budget.
 
     m = 0 shots are plain A preparations.  For m >= 1 the shots cycle
@@ -549,7 +527,7 @@ def _lcu_shot_plan(
     """
     beta_grid = np.linspace(0.0, math.asin(math.sqrt(p_max_fail)), 11)
     groups: dict[tuple, int] = {}
-    for m, shots in eis_schedule(q, shots_m0, shots_other):
+    for m, shots in eis_schedule(q):
         if m == 0:
             groups[(0, 0, 0.0)] = groups.get((0, 0, 0.0), 0) + shots
             continue
@@ -561,138 +539,73 @@ def _lcu_shot_plan(
     return sorted(groups.items())
 
 
-def _lcu_group_probs(groups, theta: float) -> np.ndarray:
-    out = np.empty(len(groups))
+def _lcu_group_probs(groups, theta: np.ndarray) -> np.ndarray:
+    """P(good = 1) of every shot group (rows) at every theta (columns);
+    each (m, plane) rotation is evaluated once and shared by its groups."""
+    p = np.empty((len(groups), theta.size))
+    planes = {}
     for i, ((m, cat, beta), _) in enumerate(groups):
         if cat == 0:
-            out[i] = math.sin(theta) ** 2
-        else:
-            out[i] = lcu_likelihood(cat, beta, m, theta)
-    return np.clip(out, 0.0, 1.0)
+            p[i] = np.sin(theta) ** 2
+            continue
+        key = (m, cat > 2)
+        if key not in planes:
+            planes[key] = _lcu_plane(m, key[1], theta)
+        p[i] = _lcu_prob(cat, beta, planes[key])
+    return np.clip(p, 0.0, 1.0, out=p)
 
 
 def _lcu_posterior_matrices(groups, grid: np.ndarray):
     """log P(1) and log P(0) for every group across the theta grid."""
-    n_g = len(groups)
-    p = np.empty((n_g, grid.size))
-    c2m = {}
-    for i, ((m, cat, beta), _) in enumerate(groups):
-        if cat == 0:
-            p[i] = np.sin(grid) ** 2
-            continue
-        f = math.cos(beta)
-        if cat in (1, 2):
-            sign = 1.0 if cat == 1 else -1.0
-            c = np.cos(grid)
-            s = sign * f * np.sin(grid)
-            key = (m, False)
-        else:
-            sign = 1.0 if cat == 3 else -1.0
-            c = np.sin(grid)  # cos(pi/2 - grid)
-            s = sign * f * np.cos(grid)
-            key = (m, True)
-        if key not in c2m:
-            arg = 2 * m * ((math.pi / 2.0 - grid) if key[1] else grid)
-            c2m[key] = (np.cos(arg), np.sin(arg))
-        cm, sm = c2m[key]
-        rot = s * cm + c * sm
-        p[i] = rot * rot / (c * c + s * s)
-    np.clip(p, 0.0, 1.0, out=p)
+    p = _lcu_group_probs(groups, grid)
     eps = 1e-300
     return np.log(p + eps), np.log(1.0 - p + eps)
 
 
-def _lcu_batch(
-    a: float,
-    q: int,
-    n_rep: int,
-    seed: int,
-    p_max_fail: float = 0.5,
-    grid_size: int = 10_001,
-    with_uses: bool = False,
-):
-    """Vectorised LCU QAE repeats at one true amplitude."""
-    theta = math.asin(math.sqrt(a))
-    groups = _lcu_shot_plan(q, p_max_fail)
-    counts = np.array([n for _, n in groups])
-    probs = _lcu_group_probs(groups, theta)
-    rng = np.random.default_rng(seed)
-    hits = rng.binomial(counts[None, :], probs[None, :], size=(n_rep, len(groups)))
-    grid = _theta_grid(grid_size)
-    log1, log0 = _lcu_posterior_matrices(groups, grid)
-    sin2 = np.sin(grid) ** 2
-    estimates = np.empty(n_rep)
-    chunk = max(1, int(2e8 // (grid.size * 8)))
-    for start in range(0, n_rep, chunk):
-        stop = min(n_rep, start + chunk)
-        h = hits[start:stop].astype(np.float64)
-        ll = h @ log1 + (counts - hits[start:stop]).astype(np.float64) @ log0
-        ll -= ll.max(axis=1, keepdims=True)
-        w = np.exp(ll)
-        estimates[start:stop] = (w @ sin2) / w.sum(axis=1)
-    if not with_uses:
-        return estimates
-    fail_p = np.array([math.sin(beta) ** 2 for (_, _, beta), _ in groups])
-    totals = np.full(n_rep, float(q))
-    for i, ((_, cat, beta), n) in enumerate(groups):
-        if cat == 0 or fail_p[i] == 0.0:
-            continue
-        totals += rng.negative_binomial(n, 1.0 - fail_p[i], size=n_rep)
-    return estimates, totals
-
-
-def lcu_qae(
-    problem: QaeProblem,
-    q: int,
-    p_max_fail: float = 0.5,
-    seed: int = 0,
-    grid_size: int = DEFAULT_POSTERIOR_GRID,
-    shots_m0: int = DEFAULT_SHOTS_M0,
-    shots_other: int = DEFAULT_SHOTS_OTHER,
-) -> QaeResult:
+def lcu_qae(problem: QaeProblem, q: int, p_max_fail: float = 0.5, seed: int = 0) -> QaeResult:
     """LCU QAE: EIS schedule with per-shot category/beta variation, MMSE
-    estimate from a dense grid posterior over theta.
+    estimate from a grid posterior over theta.
 
     The budget counts uses inside successfully post-selected circuits;
     preparation failures are Bernoulli(sin^2 beta) draws costing one A use
     each (fail-fast), reported via ``uses_expected_total``.
     """
-    return lcu_from_amplitude(
-        amplitude(problem), q, p_max_fail, seed, grid_size, shots_m0, shots_other
-    )
+    return lcu_from_amplitude(amplitude(problem), q, p_max_fail, seed)
 
 
 def lcu_from_amplitude(
-    a: float,
-    q: int,
-    p_max_fail: float = 0.5,
-    seed: int = 0,
-    grid_size: int = DEFAULT_POSTERIOR_GRID,
-    shots_m0: int = DEFAULT_SHOTS_M0,
-    shots_other: int = DEFAULT_SHOTS_OTHER,
-) -> QaeResult:
-    if q < shots_m0:
-        raise ValueError(f"budget {q} below one m=0 round ({shots_m0} shots)")
-    theta = math.asin(math.sqrt(a))
-    groups = _lcu_shot_plan(q, p_max_fail, shots_m0, shots_other)
+    a: float, q: int, p_max_fail: float = 0.5, seed: int = 0, *, repeats: int | None = None
+):
+    if q < SHOTS_M0:
+        raise ValueError(f"budget {q} below one m=0 round ({SHOTS_M0} shots)")
+    n_runs = _n_runs(repeats)
+    groups = _lcu_shot_plan(q, p_max_fail)
     counts = np.array([n for _, n in groups])
-    probs = _lcu_group_probs(groups, theta)
+    probs = _lcu_group_probs(groups, np.array([math.asin(math.sqrt(a))]))[:, 0]
     rng = np.random.default_rng(seed)
-    hits = rng.binomial(counts, probs)
-    grid = _theta_grid(grid_size)
+    hits = rng.binomial(counts, probs, size=(n_runs, len(groups)))
+    grid = np.linspace(0.0, math.pi / 2.0, DEFAULT_POSTERIOR_GRID)
     log1, log0 = _lcu_posterior_matrices(groups, grid)
-    ll = hits.astype(np.float64) @ log1 + (counts - hits).astype(np.float64) @ log0
-    ll -= ll.max()
-    w = np.exp(ll)
-    a_hat = float((w @ (np.sin(grid) ** 2)) / w.sum())
+    sin2 = np.sin(grid) ** 2
+    a_hat = np.empty(n_runs)
+    chunk = max(1, int(2e8 // (grid.size * 8)))
+    for start in range(0, n_runs, chunk):
+        h = hits[start:start + chunk]
+        ll = h.astype(np.float64) @ log1 + (counts - h).astype(np.float64) @ log0
+        ll -= ll.max(axis=1, keepdims=True)
+        w = np.exp(ll)
+        a_hat[start:start + chunk] = (w @ sin2) / w.sum(axis=1)
+    np.clip(a_hat, 0.0, 1.0, out=a_hat)
+    if repeats is not None:
+        return a_hat
     failures = 0
-    for (m, cat, beta), n in groups:
+    for (_, cat, beta), n in groups:
         pf = math.sin(beta) ** 2
         if cat == 0 or pf == 0.0:
             continue
         failures += int(rng.negative_binomial(n, 1.0 - pf))
     return QaeResult(
-        min(1.0, max(0.0, a_hat)),
+        float(a_hat[0]),
         q,
         2,
         C_QAE_REFERENCE["LCU"],
@@ -704,26 +617,31 @@ def lcu_from_amplitude(
 # dispatch
 
 
+def estimate_amplitude(
+    kind: str, a: float, q: int, seed: int = 0, p_max_fail: float = 0.5, *,
+    repeats: int | None = None,
+):
+    """Run the ``kind`` estimator on true amplitude ``a`` with ``q`` uses:
+    one QaeResult, or with ``repeats`` an array of that many estimates.
+
+    LCU budgets below one m = 0 round run MLQAE instead; a single run's
+    result flags it as a fallback.
+    """
+    if kind == "PAM":
+        return pam_from_amplitude(a, q, seed, repeats=repeats)
+    if kind == "IQAE":
+        return iqae_from_amplitude(a, q, seed, repeats=repeats)
+    if kind == "LCU" and q >= SHOTS_M0:
+        return lcu_from_amplitude(a, q, p_max_fail, seed, repeats=repeats)
+    if kind not in ("MLQAE", "LCU"):
+        raise ValueError(f"unknown QAE kind {kind!r}")
+    res = mlqae_from_amplitude(a, q, seed, repeats=repeats)
+    if kind == "LCU" and repeats is None:
+        res = dataclasses.replace(res, fallback=True)
+    return res
+
+
 def run_qae(problem: QaeProblem, config: QaeConfig) -> QaeResult:
-    if config.kind == "PAM":
-        return pam(problem, config.q, config.seed)
-    if config.kind == "MLQAE":
-        return mlqae(
-            problem,
-            config.q,
-            config.seed,
-            grid_size=min(config.posterior_grid_size, 20_001),
-            shots_m0=config.shots_m0,
-            shots_other=config.shots_other,
-        )
-    if config.kind == "IQAE":
-        return iqae(problem, config.q, config.seed)
-    return lcu_qae(
-        problem,
-        config.q,
-        config.p_max_fail,
-        config.seed,
-        grid_size=config.posterior_grid_size,
-        shots_m0=config.shots_m0,
-        shots_other=config.shots_other,
+    return estimate_amplitude(
+        config.kind, amplitude(problem), config.q, config.seed, config.p_max_fail
     )

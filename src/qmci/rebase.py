@@ -93,9 +93,6 @@ def expand_mcx(controls, target, ancillas) -> list[Gate]:
     return chain + [mid] + [g for g in reversed(chain)]
 
 
-_ZYZ_CACHE = {}
-
-
 def _zyz_angles_for_rotation(kind: str, phi: float) -> tuple[float, float, float]:
     """(b, g, d) with target unitary = Rz(b) Ry(g) Rz(d), no global phase."""
     if kind == "CRy":

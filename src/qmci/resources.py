@@ -133,8 +133,6 @@ def build_plan(
     def schedule_for(q: int):
         if qae_kind == "PAM":
             return [(0, q)]
-        if qae_kind == "LCU" and q < qae_mod.DEFAULT_SHOTS_M0:
-            return eis_schedule(q)
         return eis_schedule(q)
 
     if spec.kind == "BernoulliQubit":

@@ -171,23 +171,6 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _estimates(qae_kind, a, q, repeats, seed, p_max_fail):
-    if qae_kind == "PAM":
-        rng = np.random.default_rng(seed)
-        return rng.binomial(q, a, size=repeats) / q
-    if qae_kind == "MLQAE":
-        return qae_mod._mlqae_batch(a, q, repeats, seed)
-    if qae_kind == "LCU":
-        return qae_mod._lcu_batch(a, q, repeats, seed, p_max_fail=p_max_fail)
-    if qae_kind == "IQAE":
-        out = np.empty(repeats)
-        base = np.random.SeedSequence((seed, 7)).generate_state(repeats)
-        for r in range(repeats):
-            out[r] = qae_mod.iqae_from_amplitude(a, q, int(base[r])).a_hat
-        return out
-    raise ValueError(f"unknown QAE kind {qae_kind!r}")
-
-
 def amplitude_sweep(
     qae_kind: str,
     amplitude_grid,
@@ -218,7 +201,7 @@ def amplitude_sweep(
         rmses = []
         for qi, q in enumerate(q_list):
             sub = int(np.random.SeedSequence((seed, ai, qi)).generate_state(1)[0])
-            est = _estimates(qae_kind, a, q, repeats, sub, p_max_fail)
+            est = qae_mod.estimate_amplitude(qae_kind, a, q, sub, p_max_fail, repeats=repeats)
             st = estimator_stats(est, a)
             cell = {
                 "bias": st.bias,

@@ -15,6 +15,8 @@ from .circuit import QuantumCircuit
 from .gates import Gate, single_qubit_matrix
 
 MAX_SIM_QUBITS = 30  # guard against accidental huge allocations
+_EPS = float(np.finfo(float).eps)
+_CHUNK = 2**14  # amplitudes a gate updates at a time (256 KB: cache-resident)
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -23,58 +25,59 @@ def zero_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def _apply_1q(state: np.ndarray, m: np.ndarray, q: int, n: int) -> None:
-    view = state.reshape([2] * n)
-    idx0 = [slice(None)] * n
-    idx1 = [slice(None)] * n
-    idx0[q], idx1[q] = 0, 1
-    a = view[tuple(idx0)].copy()
-    b = view[tuple(idx1)].copy()
-    view[tuple(idx0)] = m[0, 0] * a + m[0, 1] * b
-    view[tuple(idx1)] = m[1, 0] * a + m[1, 1] * b
-
-
-def _apply_controlled_1q(state, m, controls, target, n) -> None:
-    view = state.reshape([2] * n)
-    idx0 = [slice(None)] * n
+def _pair(view: np.ndarray, controls, target: int):
+    """The two sub-blocks with every control at 1 and ``target`` at 0 and
+    at 1.  Slices, not integers, keep them views even of one amplitude."""
+    idx = [slice(None)] * view.ndim
     for c in controls:
-        idx0[c] = 1
-    idx1 = list(idx0)
-    idx0[target], idx1[target] = 0, 1
-    a = view[tuple(idx0)].copy()
-    b = view[tuple(idx1)].copy()
-    view[tuple(idx0)] = m[0, 0] * a + m[0, 1] * b
-    view[tuple(idx1)] = m[1, 0] * a + m[1, 1] * b
+        idx[c] = slice(1, 2)
+    idx[target] = slice(0, 1)
+    a = view[tuple(idx)]
+    idx[target] = slice(1, 2)
+    return a, view[tuple(idx)]
 
 
-def _apply_controlled_x(state, controls, target, n) -> None:
-    view = state.reshape([2] * n)
-    idx0 = [slice(None)] * n
-    for c in controls:
-        idx0[c] = 1
-    idx1 = list(idx0)
-    idx0[target], idx1[target] = 0, 1
-    tmp = view[tuple(idx0)].copy()
-    view[tuple(idx0)] = view[tuple(idx1)]
-    view[tuple(idx1)] = tmp
+def _chunks(a: np.ndarray, b: np.ndarray):
+    """Matching sub-views of two equally shaped views, split along their
+    leading axes into chunks of at most ``_CHUNK`` amplitudes."""
+    k, size = 0, a.size
+    while size > _CHUNK:
+        size //= a.shape[k]
+        k += 1
+    if k == 0:
+        return ((a, b),)
+    return ((a[i], b[i]) for i in np.ndindex(a.shape[:k]))
 
 
 def apply_gate(state: np.ndarray, g: Gate, n: int) -> None:
-    k = g.kind
-    if k in ("CNOT", "Toffoli", "MultiControlledX"):
-        _apply_controlled_x(state, g.controls, g.target, n)
-    elif k in ("CRy", "CRx", "CRz"):
-        _apply_controlled_1q(state, single_qubit_matrix(g), g.controls, g.target, n)
-    else:
-        _apply_1q(state, single_qubit_matrix(g), g.qubits[0], n)
+    """Apply ``g`` in place, a cache-sized chunk at a time."""
+    q = g.qubits
+    pairs = _chunks(*_pair(state.reshape([2] * n), q[:-1], q[-1]))
+    if g.kind in ("X", "CNOT", "Toffoli", "MultiControlledX"):
+        for a, b in pairs:
+            tmp = a.copy()
+            a[...] = b
+            b[...] = tmp
+        return
+    m = single_qubit_matrix(g)
+    for a, b in pairs:
+        if a.size == 1:  # scalars: numpy rounds them apart from its array loops
+            a0, b0 = a.reshape(-1)[0], b.reshape(-1)[0]
+        else:
+            a0, b0 = a.copy(), b.copy()
+        a[...] = m[0, 0] * a0 + m[0, 1] * b0
+        b[...] = m[1, 0] * a0 + m[1, 1] * b0
 
 
 def simulate(circuit: QuantumCircuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Exact final amplitudes of ``circuit`` applied to ``initial`` (default all-zero).
 
-    Raises on dimension mismatch, on circuits containing resource boxes,
-    and if the norm ever drifts beyond 1e-12 (it cannot for unitary gates
-    at these sizes; the check enforces the exactness contract).
+    Raises ValueError on dimension mismatch, on circuits containing
+    resource boxes, and if the final norm is not 1 within rounding (the
+    gates are unitary, so only a non-normalised ``initial`` state or a
+    broken kernel gets there).  The tolerance grows with the gate count,
+    since every gate may move the norm by a few ulps, and with the qubit
+    count, for the rounding of the sum over 2^n amplitudes.
     """
     if circuit.boxes:
         raise ValueError("cannot simulate a circuit containing resource boxes")
@@ -92,9 +95,9 @@ def simulate(circuit: QuantumCircuit, initial: np.ndarray | None = None) -> np.n
         state = initial.copy()
     for g in circuit.gates:
         apply_gate(state, g, n)
-        norm2 = float(np.vdot(state, state).real)
-        if abs(norm2 - 1.0) > 1e-12:
-            raise AssertionError(f"state norm drifted: |psi|^2 = {norm2}")
+    norm2 = float(np.sum(state.real**2 + state.imag**2))  # pairwise summation
+    if abs(norm2 - 1.0) > 1e-12 + 8 * _EPS * (len(circuit.gates) + n):
+        raise ValueError(f"state norm is not 1: |psi|^2 = {norm2!r}")
     return state
 
 
@@ -124,10 +127,7 @@ def marginal_pmf(state: np.ndarray, qubits) -> np.ndarray:
     # transpose so qubits[0] becomes the most significant output bit
     sorted_pos = {q: i for i, q in enumerate(sorted(qubits))}
     perm = [sorted_pos[q] for q in qubits]
-    pmf = view.transpose(perm).reshape(-1)
-    s = float(pmf.sum())
-    assert abs(s - 1.0) < 1e-12, f"marginal pmf sums to {s}"
-    return pmf
+    return view.transpose(perm).reshape(-1)
 
 
 def sample(state: np.ndarray, qubits, n: int, seed: int) -> np.ndarray:

@@ -188,3 +188,54 @@ def test_parallel_sweeps_match_sequential_bytes(tmp_path, monkeypatch):
     assert run(["qae-sweep", cfg, "--out-dir", tmp_path / "par"]) == 0
     for name in ("sweep_0.json", "sweep_1.json", "sweep_0.csv", "sweep_1.csv"):
         assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+
+def test_resources_rejects_unknown_quantity_key(tmp_path, capsys):
+    cfg = write(tmp_path, "c.json", {
+        "mode": "nisq",
+        "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
+        "quantity": {"quantity": "Mean", "q_totl": 1000},
+    })
+    assert run(["resources", cfg, "--out-dir", tmp_path / "o"]) == 2
+    assert "q_totl" in capsys.readouterr().err
+
+
+def test_resources_keeps_x_star(tmp_path, monkeypatch):
+    from qmci import resources
+
+    seen = []
+    real = resources.build_plan
+
+    def recording_build_plan(dc, spec, *args, **kw):
+        seen.append(spec.x_star)
+        return real(dc, spec, *args, **kw)
+
+    monkeypatch.setattr(resources, "build_plan", recording_build_plan)
+    cfg = write(tmp_path, "c.json", {
+        "mode": "nisq",
+        "distribution": {"source": "gaussian", "n_qubits": 3, "mu": 0.0,
+                          "sigma": 0.1, "x_l": -0.5, "delta": 1 / 7},
+        "quantity": {"quantity": "Mean", "q_total": 1000, "x_star": 0.25},
+    })
+    assert run(["resources", cfg, "--out-dir", tmp_path / "o"]) == 0
+    assert seen == [0.25]
+
+
+@pytest.mark.parametrize("command", ["estimate", "resources"])
+def test_unknown_quantity_kind_exits_2(tmp_path, command):
+    cfg = {
+        "seed": 1,
+        "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
+        "quantity": {"quantity": "Meen", "q_total": 100},
+    }
+    if command == "resources":
+        cfg["mode"] = "nisq"
+    assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+
+
+def test_non_integer_thread_env_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("QMCI_THREADS", "abc")
+    cfg = write(tmp_path, "c.json", {
+        "qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100,
+    })
+    assert run(["qae-sweep", cfg, "--out-dir", tmp_path / "o"]) == 2

@@ -278,7 +278,7 @@ def test_conditional_with_constant_false_indicator_returns_x_star(monkeypatch):
     spec.x_star = 0.2
     # infinite-budget limit: QAE returns the exact amplitude
     monkeypatch.setattr(
-        fourier, "_run_qae_amp",
+        fourier.qae_mod, "estimate_amplitude",
         lambda kind, a, q, seed, *args, **kw: type("R", (), {"a_hat": a, "lam": 2})(),
     )
     res = qmci_estimate(dcc, spec, 0, "MLQAE", q_total=10_000, seed=0, condition=0)

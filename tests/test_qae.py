@@ -11,22 +11,26 @@ from qmci.qae import (
     amplitude,
     benchmark_circuit,
     eis_schedule,
+    estimate_amplitude,
     grover_operator,
     grover_operator_tilde,
     iqae,
+    iqae_from_amplitude,
     iqae_query_bound,
     iqae_risk,
     lcu_fail_probability,
     lcu_likelihood,
+    lcu_from_amplitude,
     lcu_prepare,
     lcu_qae,
     mlqae,
+    mlqae_from_amplitude,
     opt_ae,
     pam,
+    pam_from_amplitude,
     run_qae,
     schedule_uses,
 )
-from qmci.qae import _lcu_batch, _mlqae_batch
 from qmci.simulator import marginal_pmf, simulate
 
 
@@ -142,7 +146,7 @@ def test_mlqae_convergence_and_budget():
     res = mlqae(prob, 2000, seed=5)
     assert res.uses_successful == 2000
     assert abs(res.a_hat - a) < 0.05
-    est = _mlqae_batch(a, 2000, 300, seed=8)
+    est = mlqae_from_amplitude(a, 2000, seed=8, repeats=300)
     rmse = float(np.sqrt(np.mean((est - a) ** 2)))
     assert rmse * 2000 < 8.02 * 1.25
 
@@ -158,7 +162,7 @@ def test_posterior_contracts_with_budget():
     a = 0.4
     rmse = []
     for q in (250, 1000, 4000):
-        est = _mlqae_batch(a, q, 500, seed=11)
+        est = mlqae_from_amplitude(a, q, seed=11, repeats=500)
         rmse.append(float(np.sqrt(np.mean((est - a) ** 2))))
     assert rmse[0] > rmse[1] > rmse[2]
 
@@ -292,9 +296,20 @@ def test_lcu_use_accounting():
 
 def test_lcu_convergence():
     a = 0.35
-    est = _lcu_batch(a, 2000, 300, seed=13)
+    est = lcu_from_amplitude(a, 2000, seed=13, repeats=300)
     rmse = float(np.sqrt(np.mean((est - a) ** 2)))
     assert rmse * 2000 < 7.82 * 1.3
+
+
+def test_lcu_likelihood_array_matches_scalar():
+    thetas = np.linspace(0.0, math.pi / 2, 41)
+    for cat in (1, 2, 3, 4):
+        for beta in (0.0, 0.3, 0.7):
+            for m in (0, 1, 5):
+                vec = lcu_likelihood(cat, beta, m, thetas)
+                assert vec.shape == thetas.shape
+                for t, v in zip(thetas, vec):
+                    assert abs(v - lcu_likelihood(cat, beta, m, float(t))) < 1e-14
 
 
 def test_lcu_angle_variety_span():
@@ -336,6 +351,38 @@ def test_qae_config_validation():
         QaeConfig(q=0)
     with pytest.raises(ValueError):
         QaeConfig(p_max_fail=1.5)
+
+
+@pytest.mark.parametrize("kind", ["PAM", "MLQAE", "IQAE", "LCU"])
+def test_scalar_call_equals_batch_of_one(kind):
+    a, q = 0.37, 700
+    call = {
+        "PAM": lambda s, r=None: pam_from_amplitude(a, q, s, repeats=r),
+        "MLQAE": lambda s, r=None: mlqae_from_amplitude(a, q, s, repeats=r),
+        "IQAE": lambda s, r=None: iqae_from_amplitude(a, q, s, repeats=r),
+        "LCU": lambda s, r=None: lcu_from_amplitude(a, q, 0.5, s, repeats=r),
+    }[kind]
+    for seed in (0, 3, 11):
+        batch = call(seed, 1)
+        assert batch.shape == (1,)
+        assert call(seed).a_hat == batch[0]
+        assert estimate_amplitude(kind, a, q, seed).a_hat == batch[0]
+        # same draws; the first of more repeats may differ in the last bits
+        assert estimate_amplitude(kind, a, q, seed, repeats=4)[0] == pytest.approx(batch[0], abs=1e-12)
+
+
+def test_dispatch_lcu_sub_round_budget_falls_back_to_mlqae():
+    res = estimate_amplitude("LCU", 0.3, 50, seed=2)
+    assert res.fallback
+    assert res.a_hat == mlqae_from_amplitude(0.3, 50, seed=2).a_hat
+    assert not estimate_amplitude("LCU", 0.3, 66, seed=2).fallback
+    res = run_qae(benchmark_circuit(0.4), QaeConfig(kind="LCU", q=50, seed=1))
+    assert res.fallback and res.uses_successful == 50
+
+
+def test_dispatch_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        estimate_amplitude("XXX", 0.3, 100)
 
 
 def test_run_qae_dispatch():

@@ -51,8 +51,49 @@ def test_norm_preserved_through_long_circuit():
     qc = QuantumCircuit(4)
     for _ in range(300):
         qc.append("Ry", int(rng.integers(4)), rng.uniform(0, 7))
-    state = simulate(qc)  # internal assertions enforce 1e-12
+    state = simulate(qc)
     assert abs(np.vdot(state, state).real - 1.0) < 1e-12
+
+
+def test_wide_state_passes_norm_check():
+    # 2^21 amplitudes: the norm's rounding error outgrows a fixed 1e-12
+    n = 21
+    qc = QuantumCircuit(n)
+    for q in range(n):
+        qc.append("Ry", q, 0.3)
+    state = simulate(qc)
+    # the marginal sums over 2^19 strided entries per outcome
+    assert abs(float(marginal_pmf(state, [0, n - 1]).sum()) - 1.0) < 1e-10
+
+
+def test_unnormalised_initial_state_raises():
+    qc = QuantumCircuit(2).append("H", 0).append("CNOT", (0, 1))
+    with pytest.raises(ValueError):
+        simulate(qc, initial=2.0 * zero_state(2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chunked_gates_match_whole_block_updates(monkeypatch, seed):
+    import qmci.simulator as sim
+
+    rng = np.random.default_rng(seed)
+    n = 7
+    qc = QuantumCircuit(n)
+    for _ in range(60):
+        q = [int(x) for x in rng.permutation(n)]
+        kind = ["Ry", "Rz", "H", "X", "CNOT", "CRy", "Toffoli"][int(rng.integers(7))]
+        if kind in ("Ry", "Rz"):
+            qc.append(kind, q[0], float(rng.uniform(0, 7)))
+        elif kind in ("H", "X"):
+            qc.append(kind, q[0])
+        elif kind == "CRy":
+            qc.append(kind, (q[0], q[1]), float(rng.uniform(0, 7)))
+        else:
+            qc.append(kind, tuple(q[:2] if kind == "CNOT" else q[:3]))
+    monkeypatch.setattr(sim, "_CHUNK", 2**n)
+    whole = simulate(qc)
+    monkeypatch.setattr(sim, "_CHUNK", 4)
+    assert np.array_equal(simulate(qc), whole)
 
 
 def test_marginal_bell_state():

@@ -148,15 +148,16 @@ def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
             {"target", "n_qubits", "n_layers"},
             "train",
         )
+        norm, n_layers = cfg.get("norm", "L2"), cfg["n_layers"]
+        if norm not in dist_mod.TRAIN_NORMS:
+            raise SchemaError(f"train: unknown norm {norm!r}")
+        if not isinstance(n_layers, int) or n_layers < 0:
+            raise SchemaError(f"train: n_layers must be an integer >= 0, got {n_layers!r}")
         x_l, delta = cfg.get("x_l", 0.0), cfg.get("delta", 1.0)
         target = _target_pmf(cfg["target"], cfg["n_qubits"], x_l, delta)
         history: list[float] = []
         dc, cost = dist_mod.train_hwe(
-            target,
-            cfg["n_layers"],
-            cfg.get("norm", "L2"),
-            cfg.get("seed", 0),
-            history=history,
+            target, n_layers, norm, cfg.get("seed", 0), history=history
         )
         dc = dist_mod.rescale(dc, 0, x_l, delta)
         paths = []
@@ -198,8 +199,11 @@ def _quantity_block(qcfg: dict) -> pb_mod.PayoffConfig:
     _check_keys(qcfg, _QUANTITY_KEYS, {"quantity"}, "quantity")
     window = qcfg.get("support_window")
     x_star = qcfg.get("x_star")
+    dimension = qcfg.get("dimension", 0)
+    if not isinstance(dimension, int):
+        raise SchemaError(f"quantity: dimension must be an integer, got {dimension!r}")
     return pb_mod.PayoffConfig(
-        qcfg["quantity"], int(qcfg.get("dimension", 0)), qcfg.get("condition"),
+        qcfg["quantity"], dimension, qcfg.get("condition"),
         x_star=None if x_star is None else float(x_star),
         support_window=tuple(window) if window else None,
     )
@@ -211,12 +215,23 @@ def _quantity_spec(dc, pc: pb_mod.PayoffConfig) -> tuple[fourier_mod.QuantitySpe
         raise SchemaError(f"quantity: unknown kind {pc.quantity!r}")
     if pc.quantity == "BernoulliQubit":
         return fourier_mod.quantity_series("BernoulliQubit", (0.0, 1.0)), 0
+    if not 0 <= pc.dimension < len(dc.dims):
+        raise SchemaError(
+            f"quantity: dimension {pc.dimension} outside the loader's {len(dc.dims)} registers"
+        )
     d = dc.dims[pc.dimension]
     qs = fourier_mod.quantity_series(pc.quantity, pc.support_window or (d.x_l, d.x_u))
     if pc.x_star is not None:
         qs.x_star = pc.x_star
     qs.support_window = pc.support_window
     return qs, pc.dimension
+
+
+def _instrument_spec(cfg: dict) -> pb_mod.InstrumentSpec:
+    try:
+        return pb_mod.InstrumentSpec.from_dict(cfg)
+    except ValueError as e:
+        raise SchemaError(f"instrument: {e}") from None
 
 
 def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
@@ -239,7 +254,7 @@ def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
         )
 
     if "instrument" in cfg:
-        spec = pb_mod.InstrumentSpec.from_dict(cfg["instrument"])
+        spec = _instrument_spec(cfg["instrument"])
         dc, pcfgs = pb_mod.build_instrument(unit, spec)
         total = 0.0
         runs = []
@@ -287,7 +302,7 @@ def cmd_resources(cfg: dict, out_dir: str) -> list[str]:
         )
 
     if "instrument" in cfg:
-        spec = pb_mod.InstrumentSpec.from_dict(cfg["instrument"])
+        spec = _instrument_spec(cfg["instrument"])
         dc, pcfgs = pb_mod.build_instrument(unit, spec)
         plans = [
             plan_for(dc, pc, spec.q_budget, spec.target_rmse or 1e-2)
@@ -349,6 +364,8 @@ def _one_sweep(cfg: dict) -> rob_mod.SweepReport:
         {"qae", "amplitudes", "q_list"},
         "qae-sweep",
     )
+    if cfg["qae"] not in qae_mod.C_QAE_REFERENCE:
+        raise SchemaError(f"qae-sweep: unknown qae kind {cfg['qae']!r}")
     return rob_mod.amplitude_sweep(
         cfg["qae"],
         cfg["amplitudes"],
@@ -361,7 +378,13 @@ def _one_sweep(cfg: dict) -> rob_mod.SweepReport:
 
 
 def cmd_qae_sweep(cfg: dict, out_dir: str) -> list[str]:
-    sweeps = cfg["sweeps"] if "sweeps" in cfg else [cfg]
+    if "sweeps" in cfg:
+        _check_keys(cfg, {"sweeps"}, set(), "qae-sweep")
+        sweeps = cfg["sweeps"]
+        if not isinstance(sweeps, list) or not sweeps:
+            raise SchemaError("qae-sweep: 'sweeps' must be a non-empty list")
+    else:
+        sweeps = [cfg]
     env = os.environ.get("QMCI_THREADS", "1")
     try:
         threads = max(1, int(env))

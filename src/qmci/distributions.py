@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from .circuit import QuantumCircuit
 from .gates import gate
-from .simulator import marginal_pmf, simulate
+from .simulator import apply_gate, marginal_pmf, simulate, zero_state
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,8 @@ def hwe_circuit(angles: np.ndarray, name: str = "hwe") -> QuantumCircuit:
 
     ``angles`` has shape (n_layers + 1, n_qubits); layer k applies
     Ry(angles[k][q]) to every qubit, followed (except after the last
-    layer) by CNOTs 0->1, 1->2, ..., n-2 -> n-1.
+    layer) by CNOTs 0->1, 1->2, ..., n-2 -> n-1.  The trainer relies on
+    this order: the k-th Ry of the circuit carries ``angles.flat[k]``.
     """
     angles = np.asarray(angles, dtype=float)
     n_rot_layers, n = angles.shape
@@ -252,20 +253,125 @@ def exact_pmf_loader(pmf) -> DistributionCircuit:
 # HWE trainer
 
 
+TRAIN_NORMS = ("L1", "L2", "Linf")
+
+
 def _prepared_amplitudes(angles: np.ndarray) -> np.ndarray:
     state = simulate(hwe_circuit(angles))
     return state.real  # Ry + CNOT circuits are real orthogonal
 
 
-def _norm_cost(target: np.ndarray, prepared: np.ndarray, norm: str) -> float:
+def _norm_cost(target: np.ndarray, prepared: np.ndarray, norm: str):
+    """Distance between ``target`` and ``prepared``, row by row when
+    ``prepared`` holds one amplitude vector per row."""
     d = target - prepared
     if norm == "L1":
-        return float(np.abs(d).sum())
+        return np.abs(d).sum(axis=-1)
     if norm == "L2":
-        return float(np.sqrt((d * d).sum()))
+        return np.sqrt((d * d).sum(axis=-1))
     if norm == "Linf":
-        return float(np.abs(d).max())
+        return np.abs(d).max(axis=-1)
     raise ValueError(f"unknown norm {norm!r}")
+
+
+def _flipped(psi: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Ry_q(pi) psi.  Since Ry(theta) = cos(theta/2) I + sin(theta/2) Ry(pi),
+    a rotation's effect is fixed by psi and this one other state."""
+    out = psi.copy()
+    apply_gate(out, gate("Ry", q, np.pi), n)
+    return out
+
+
+def _rotation_pair(psi: np.ndarray, q: int, suffix, n: int):
+    """Real (u, v) such that the circuit prepares cos(theta/2) u +
+    sin(theta/2) v when the state in front of an Ry on qubit ``q`` is
+    ``psi``, the gates after it are ``suffix`` and its angle is theta."""
+    u, v = psi.copy(), _flipped(psi, q, n)
+    for g in suffix:
+        apply_gate(u, g, n)
+        apply_gate(v, g, n)
+    return u.real, v.real
+
+
+def _rotated_costs(target, u, v, thetas, norm: str) -> np.ndarray:
+    """Cost of the prepared state at each angle in ``thetas``."""
+    half = np.asarray(thetas, dtype=float)[:, None] / 2.0
+    return _norm_cost(target, np.cos(half) * u + np.sin(half) * v, norm)
+
+
+def _l2_sweep(target: np.ndarray, angles: np.ndarray, n: int) -> np.ndarray:
+    """One sweep of exact sequential angle updates, in place; returns the
+    prepared amplitudes after it.
+
+    Given the other angles, the overlap with the target is cos(theta/2) f0
+    + sin(theta/2) f1, maximised at theta = 2 atan2(f1, f0).  A backward
+    pass of the target through the circuit (Ry(theta)^T = Ry(-theta), CNOT
+    is its own inverse) stores the environment in front of each rotation;
+    the gates after a rotation are not yet updated when its turn comes.
+    One forward pass then carries the state in front of each rotation.
+    """
+    gates = hwe_circuit(angles).gates
+    env = []
+    e = target.astype(complex)
+    for g in reversed(gates):
+        if g.kind == "Ry":
+            env.append(e.real.copy())
+        for h in g.inverse_gates():
+            apply_gate(e, h, n)
+    env.reverse()
+    psi = zero_state(n)
+    k = 0
+    for g in gates:
+        if g.kind == "Ry":
+            q = g.qubits[0]
+            f0 = float(env[k] @ psi.real)
+            f1 = float(env[k] @ _flipped(psi, q, n).real)
+            if (f0, f1) != (0.0, 0.0):
+                angles.flat[k] = 2.0 * np.arctan2(f1, f0)
+            g = gate("Ry", q, angles.flat[k])
+            k += 1
+        apply_gate(psi, g, n)
+    return psi.real
+
+
+def _scan_sweep(target: np.ndarray, angles: np.ndarray, n: int, norm: str):
+    """One sweep of coordinate scans of ``norm``, in place: per angle, a
+    24-point scan, then a ternary refinement around the best point.
+    Returns the prepared amplitudes after the sweep and whether any angle
+    moved."""
+    scan = np.linspace(0.0, 2.0 * np.pi, 25)[:-1]
+    gates = hwe_circuit(angles).gates
+    psi = zero_state(n)
+    improved = False
+    k = 0
+    for i, g in enumerate(gates):
+        if g.kind == "Ry":
+            q = g.qubits[0]
+            u, v = _rotation_pair(psi, q, gates[i + 1:], n)
+            saved = angles.flat[k]
+            best, best_c = saved, float(_rotated_costs(target, u, v, [saved], norm)[0])
+            for cand, c in zip(scan, _rotated_costs(target, u, v, scan, norm).tolist()):
+                if c < best_c - 1e-15:
+                    best, best_c = cand, c
+            # local refinement around the best candidate
+            lo, hi = best - 2 * np.pi / 24, best + 2 * np.pi / 24
+            for _ in range(25):
+                m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                c1, c2 = _rotated_costs(target, u, v, [m1, m2], norm).tolist()
+                if c1 < c2:
+                    hi = m2
+                    if c1 < best_c:
+                        best, best_c = m1, c1
+                else:
+                    lo = m1
+                    if c2 < best_c:
+                        best, best_c = m2, c2
+            angles.flat[k] = best
+            improved |= best != saved
+            g = gate("Ry", q, best)
+            k += 1
+        apply_gate(psi, g, n)
+    return psi.real, improved
 
 
 def train_hwe(
@@ -284,11 +390,14 @@ def train_hwe(
     L2 training uses exact sequential angle updates (each rotation angle has
     a closed-form optimum given the rest); L1 / Linf use the same updates as
     a warm start and then deterministic coordinate scans of the requested
-    norm.  Coordinate descent can stall in local optima, so up to
-    ``n_restarts`` seeded initialisations are tried and the best kept.
-    Deterministic under ``seed``.  Returns the trained circuit and the
-    final cost in the requested norm; pass ``history`` to record the cost
-    after every sweep.
+    norm.  Each sweep costs one backward and one forward pass over the
+    circuit (L2), or two passes over the gates after each rotation (scans);
+    no angle update re-simulates the circuit.  Coordinate descent can stall
+    in local optima, so up to ``n_restarts`` seeded initialisations are
+    tried and the best kept.  Deterministic under ``seed``.  Returns the
+    trained circuit and the final cost in the requested norm, simulated
+    from the returned circuit; pass ``history`` to record the cost after
+    every sweep.
     """
     if n_restarts > 1:
         best = None
@@ -310,7 +419,7 @@ def train_hwe(
     n = int(round(math.log2(len(target_pmf))))
     if 2**n != len(target_pmf):
         raise ValueError("target pmf length must be a power of two")
-    if norm not in ("L1", "L2", "Linf"):
+    if norm not in TRAIN_NORMS:
         raise ValueError(f"invalid norm {norm!r}")
     if n_layers < 0:
         raise ValueError("n_layers must be >= 0")
@@ -326,59 +435,24 @@ def train_hwe(
     # exact coordinate updates on the overlap (equivalently the L2 cost)
     last = np.inf
     for _ in range(max_sweeps):
-        for layer in range(n_layers + 1):
-            for q in range(n):
-                saved = angles[layer][q]
-                angles[layer][q] = 0.0
-                f0 = float(target @ _prepared_amplitudes(angles))
-                angles[layer][q] = np.pi
-                f1 = float(target @ _prepared_amplitudes(angles))
-                angles[layer][q] = 2.0 * np.arctan2(f1, f0) if (f0, f1) != (0.0, 0.0) else saved
-        cost = _norm_cost(target, _prepared_amplitudes(angles), "L2")
-        record(cost if norm == "L2" else _norm_cost(target, _prepared_amplitudes(angles), norm))
+        prepared = _l2_sweep(target, angles, n)
+        cost = float(_norm_cost(target, prepared, "L2"))
+        record(cost if norm == "L2" else float(_norm_cost(target, prepared, norm)))
         if abs(last - cost) < tol:
             break
         last = cost
 
     if norm != "L2":
-        scan = np.linspace(0.0, 2.0 * np.pi, 25)[:-1]
-        last = _norm_cost(target, _prepared_amplitudes(angles), norm)
+        last = float(_norm_cost(target, _prepared_amplitudes(angles), norm))
         for _ in range(8):
-            improved = False
-            for layer in range(n_layers + 1):
-                for q in range(n):
-                    saved = angles[layer][q]
-                    best, best_c = saved, _norm_cost(target, _prepared_amplitudes(angles), norm)
-                    for cand in scan:
-                        angles[layer][q] = cand
-                        c = _norm_cost(target, _prepared_amplitudes(angles), norm)
-                        if c < best_c - 1e-15:
-                            best, best_c = cand, c
-                    # local refinement around the best candidate
-                    lo, hi = best - 2 * np.pi / 24, best + 2 * np.pi / 24
-                    for _ in range(25):
-                        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-                        angles[layer][q] = m1
-                        c1 = _norm_cost(target, _prepared_amplitudes(angles), norm)
-                        angles[layer][q] = m2
-                        c2 = _norm_cost(target, _prepared_amplitudes(angles), norm)
-                        if c1 < c2:
-                            hi = m2
-                            if c1 < best_c:
-                                best, best_c = m1, c1
-                        else:
-                            lo = m1
-                            if c2 < best_c:
-                                best, best_c = m2, c2
-                    angles[layer][q] = best
-                    improved |= best != saved
-            cost = _norm_cost(target, _prepared_amplitudes(angles), norm)
+            prepared, improved = _scan_sweep(target, angles, n, norm)
+            cost = float(_norm_cost(target, prepared, norm))
             record(cost)
             if not improved or abs(last - cost) < tol:
                 break
             last = cost
 
-    final_cost = _norm_cost(target, _prepared_amplitudes(angles), norm)
+    final_cost = float(_norm_cost(target, _prepared_amplitudes(angles), norm))
     dc = DistributionCircuit(
         hwe_circuit(angles, name="hwe_trained"),
         [Dimension(tuple(range(n)), 0.0, 1.0)],

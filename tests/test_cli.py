@@ -239,3 +239,52 @@ def test_non_integer_thread_env_exits_2(tmp_path, monkeypatch):
         "qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100,
     })
     assert run(["qae-sweep", cfg, "--out-dir", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("bad", [{"norm": "L3"}, {"n_layers": -1}])
+def test_dist_train_bad_config_exits_2(tmp_path, bad):
+    cfg = write(tmp_path, "c.json", {
+        "target": {"pdf": "gaussian"}, "n_qubits": 2, "n_layers": 1, **bad,
+    })
+    assert run(["dist", "train", cfg, "--out-dir", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("command", ["estimate", "resources"])
+@pytest.mark.parametrize("dimension", [4, -1, 0.5, "0"])
+def test_bad_quantity_dimension_exits_2(tmp_path, command, dimension):
+    cfg = {
+        "seed": 1, "mode": "nisq",
+        "distribution": {"source": "gaussian", "n_qubits": 3, "mu": 0.0,
+                          "sigma": 0.1, "x_l": -0.5, "delta": 1 / 7},
+        "quantity": {"quantity": "Mean", "dimension": dimension, "q_total": 100},
+    }
+    if command == "estimate":
+        del cfg["mode"]
+    assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("command", ["estimate", "resources"])
+def test_unknown_instrument_exits_2(tmp_path, command, capsys):
+    cfg = {
+        "seed": 1, "mode": "nisq",
+        "distribution": {"source": "gaussian", "n_qubits": 2, "mu": 0.0,
+                          "sigma": 1.0, "x_l": -5.0, "delta": 10 / 3},
+        "instrument": {"instrument": "Barier", "space": "return", "n_slices": 2,
+                        "total_volatility": 0.4, "strike_ratio": 1.02,
+                        "barrier_ratio": 1.3, "payoff_kind": "binary"},
+    }
+    if command == "estimate":
+        del cfg["mode"]
+    assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+    assert "Barier" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"qae": "IQAA", "amplitudes": [0.5], "q_list": [100], "repeats": 100},
+    {"sweeps": [{"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100}],
+     "sweps": 1},
+    {"sweeps": []},
+])
+def test_qae_sweep_bad_config_exits_2(tmp_path, cfg):
+    assert run(["qae-sweep", write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+    assert not (tmp_path / "o").exists()

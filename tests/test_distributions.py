@@ -4,12 +4,17 @@ from math import comb
 import numpy as np
 import pytest
 
+from qmci.circuit import QuantumCircuit
 from qmci.distributions import (
     DistributionCircuit,
+    _norm_cost,
+    _rotated_costs,
+    _rotation_pair,
     discretize_pdf,
     divergence_metrics,
     exact_pmf_loader,
     gaussian_pdf,
+    hwe_circuit,
     lognormal_pdf,
     rescale,
     standard_circuit,
@@ -149,6 +154,70 @@ def test_train_other_norms_run(norm):
 def test_train_invalid_norm():
     with pytest.raises(ValueError):
         train_hwe([0.5, 0.5], 1, "L3", seed=0)
+
+
+def _reference_l2_sweep(target, angles):
+    """One sweep of the exact angle updates, re-simulating the whole
+    circuit for each of the two overlaps every angle needs."""
+    angles = angles.copy()
+
+    def overlap(a):
+        return float(target @ simulate(hwe_circuit(a)).real)
+
+    for layer in range(angles.shape[0]):
+        for q in range(angles.shape[1]):
+            saved = angles[layer, q]
+            angles[layer, q] = 0.0
+            f0 = overlap(angles)
+            angles[layer, q] = np.pi
+            f1 = overlap(angles)
+            angles[layer, q] = 2.0 * np.arctan2(f1, f0) if (f0, f1) != (0.0, 0.0) else saved
+    return angles
+
+
+def _target_amplitudes(n, sigma):
+    pmf = discretize_pdf(lambda x: gaussian_pdf(x, 0.2, sigma), n, -4.0, 8.0 / (2**n - 1))
+    return pmf, np.sqrt(pmf) / np.linalg.norm(np.sqrt(pmf))
+
+
+@pytest.mark.parametrize("n, n_layers", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_train_l2_sweep_matches_resimulation(n, n_layers):
+    pmf, target = _target_amplitudes(n, 1.3)
+    seed = 17
+    start = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(n_layers + 1, n))
+    dc, _ = train_hwe(pmf, n_layers, "L2", seed=seed, max_sweeps=1, n_restarts=1)
+    got = [g.params[0] for g in dc.circuit.gates if g.kind == "Ry"]
+    ref = _reference_l2_sweep(target, start)
+    assert np.abs(np.array(got) - ref.reshape(-1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, n_layers", [(3, 1), (4, 2)])
+def test_rotation_pair_matches_simulation_over_scan(n, n_layers):
+    _, target = _target_amplitudes(n, 0.9)
+    scan = np.linspace(0.0, 2.0 * np.pi, 25)[:-1]
+    angles = np.random.default_rng(n_layers).uniform(0.0, 2.0 * np.pi, size=(n_layers + 1, n))
+    gates = hwe_circuit(angles).gates
+    ry = [i for i, g in enumerate(gates) if g.kind == "Ry"]
+    for k, i in enumerate(ry):
+        q = gates[i].qubits[0]
+        psi = simulate(QuantumCircuit(n).extend(gates[:i]))
+        u, v = _rotation_pair(psi, q, gates[i + 1:], n)
+        trial = angles.copy()
+        for theta in scan:
+            trial[k // n, q] = theta
+            exact = simulate(hwe_circuit(trial)).real
+            assert np.abs(np.cos(theta / 2) * u + np.sin(theta / 2) * v - exact).max() < 1e-12
+            for norm in ("L1", "Linf"):
+                cost = _rotated_costs(target, u, v, [theta], norm)[0]
+                assert abs(cost - _norm_cost(target, exact, norm)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_train_l2_history_ends_at_returned_cost(n):
+    pmf, _ = _target_amplitudes(n, 2.0)
+    history = []
+    _, cost = train_hwe(pmf, 1, "L2", seed=2, history=history)
+    assert abs(history[-1] - cost) < 1e-12
 
 
 def test_walk_binomial_k2():

@@ -61,16 +61,18 @@ def _atomic_write(path: str, text: str):
 
 
 def _dump_json(obj) -> str:
+    """Strict JSON: infinities become the strings "inf" / "-inf" and NaN
+    becomes null; a non-finite value this mapping misses raises."""
     def sanitise(o):
-        if isinstance(o, float) and math.isinf(o):
-            return "inf"
+        if isinstance(o, float) and not math.isfinite(o):
+            return None if math.isnan(o) else ("inf" if o > 0 else "-inf")
         if isinstance(o, dict):
             return {k: sanitise(v) for k, v in o.items()}
         if isinstance(o, (list, tuple)):
             return [sanitise(v) for v in o]
         return o
 
-    return json.dumps(sanitise(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(sanitise(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -213,6 +215,9 @@ def _quantity_spec(dc, pc: pb_mod.PayoffConfig) -> tuple[fourier_mod.QuantitySpe
     """The quantity descriptor of one payoff config, and its dimension."""
     if pc.quantity not in fourier_mod.QUANTITY_KINDS:
         raise SchemaError(f"quantity: unknown kind {pc.quantity!r}")
+    if pc.quantity in fourier_mod.INDICATOR_KINDS and pc.condition not in range(len(dc.indicators)):
+        raise SchemaError(f"quantity: {pc.quantity} needs a condition indexing the loader's "
+                          f"{len(dc.indicators)} indicators, got {pc.condition!r}")
     if pc.quantity == "BernoulliQubit":
         return fourier_mod.quantity_series("BernoulliQubit", (0.0, 1.0)), 0
     if not 0 <= pc.dimension < len(dc.dims):
@@ -227,11 +232,39 @@ def _quantity_spec(dc, pc: pb_mod.PayoffConfig) -> tuple[fourier_mod.QuantitySpe
     return qs, pc.dimension
 
 
+def _budget(q_total, target_rmse, where: str) -> tuple[int | None, float | None]:
+    """The (q_total, target_rmse) pair of a config: at least one of them,
+    q_total an integer >= 1, target_rmse positive and finite."""
+    if q_total is None and target_rmse is None:
+        raise SchemaError(f"{where}: give a use budget or target_rmse")
+    if q_total is not None and not (type(q_total) is int and q_total >= 1):
+        raise SchemaError(f"{where}: the use budget must be an integer >= 1, got {q_total!r}")
+    if target_rmse is not None and not (
+        type(target_rmse) in (int, float) and 0 < target_rmse < math.inf
+    ):
+        raise SchemaError(f"{where}: target_rmse must be positive and finite, got {target_rmse!r}")
+    return q_total, target_rmse
+
+
 def _instrument_spec(cfg: dict) -> pb_mod.InstrumentSpec:
     try:
         return pb_mod.InstrumentSpec.from_dict(cfg)
     except ValueError as e:
         raise SchemaError(f"instrument: {e}") from None
+
+
+def _payoffs(cfg: dict, unit, where: str):
+    """(circuit, payoff configs, (q_total, target_rmse)) of the
+    ``instrument`` or ``quantity`` block of an estimate or resources config."""
+    if "instrument" in cfg:
+        spec = _instrument_spec(cfg["instrument"])
+        budget = _budget(spec.q_budget, spec.target_rmse, "instrument")
+        return (*pb_mod.build_instrument(unit, spec), budget)
+    if "quantity" in cfg:
+        qcfg = cfg["quantity"]
+        pc = _quantity_block(qcfg)
+        return unit, [pc], _budget(qcfg.get("q_total"), qcfg.get("target_rmse"), "quantity")
+    raise SchemaError(f"{where}: give 'quantity' or 'instrument'")
 
 
 def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
@@ -245,32 +278,21 @@ def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
     qae_kind, p_max_fail = _qae_kind(cfg)
     unit = _load_distribution(cfg["distribution"])
     out: dict = {"qae": qae_kind, "seed": seed}
-
-    def run(dc, pc, q_total, target_rmse, seed):
+    dc, pcfgs, budget = _payoffs(cfg, unit, "estimate")
+    runs = []
+    for i, pc in enumerate(pcfgs):
         qs, dim = _quantity_spec(dc, pc)
-        return fourier_mod.qmci_estimate(
-            dc, qs, dim, qae_kind, q_total=q_total, target_rmse=target_rmse,
-            seed=seed, condition=pc.condition, lcu_p_max_fail=p_max_fail,
-        )
-
+        runs.append((pc, fourier_mod.qmci_estimate(
+            dc, qs, dim, qae_kind, *budget,
+            seed=seed + i, condition=pc.condition, lcu_p_max_fail=p_max_fail,
+        )))
     if "instrument" in cfg:
-        spec = _instrument_spec(cfg["instrument"])
-        dc, pcfgs = pb_mod.build_instrument(unit, spec)
-        total = 0.0
-        runs = []
-        for i, pc in enumerate(pcfgs):
-            res = run(dc, pc, spec.q_budget, spec.target_rmse, seed + i)
-            total += pc.scale * res.estimate + pc.offset
-            runs.append({"config": pc.to_dict(), **res.to_dict()})
-        out["payoff"] = total
-        out["runs"] = runs
-    elif "quantity" in cfg:
-        qcfg = cfg["quantity"]
-        res = run(unit, _quantity_block(qcfg), qcfg.get("q_total"),
-                  qcfg.get("target_rmse"), seed)
-        out.update(res.to_dict())
+        out["payoff"] = 0.0
+        for pc, res in runs:
+            out["payoff"] += pc.scale * res.estimate + pc.offset
+        out["runs"] = [{"config": pc.to_dict(), **res.to_dict()} for pc, res in runs]
     else:
-        raise SchemaError("estimate: give 'quantity' or 'instrument'")
+        out.update(runs[0][1].to_dict())
     path = os.path.join(out_dir, "qmci_result.json")
     _atomic_write(path, _dump_json(out))
     return [path]
@@ -293,27 +315,11 @@ def cmd_resources(cfg: dict, out_dir: str) -> list[str]:
         raise SchemaError(f"resources: unknown mode {mode!r}")
     qae_kind, _ = _qae_kind(cfg)
     unit = _load_distribution(cfg["distribution"])
-
-    def plan_for(dc, pc, q_total, target_rmse):
+    dc, pcfgs, budget = _payoffs(cfg, unit, "resources")
+    plans = []
+    for pc in pcfgs:
         qs, dim = _quantity_spec(dc, pc)
-        return res_mod.build_plan(
-            dc, qs, dim, qae_kind, q_total=q_total,
-            target_rmse=target_rmse, condition=pc.condition,
-        )
-
-    if "instrument" in cfg:
-        spec = _instrument_spec(cfg["instrument"])
-        dc, pcfgs = pb_mod.build_instrument(unit, spec)
-        plans = [
-            plan_for(dc, pc, spec.q_budget, spec.target_rmse or 1e-2)
-            for pc in pcfgs
-        ]
-    elif "quantity" in cfg:
-        qcfg = cfg["quantity"]
-        plans = [plan_for(unit, _quantity_block(qcfg), qcfg.get("q_total"),
-                          qcfg.get("target_rmse"))]
-    else:
-        raise SchemaError("resources: give 'quantity' or 'instrument'")
+        plans.append(res_mod.build_plan(dc, qs, dim, qae_kind, *budget, condition=pc.condition))
 
     reports = []
     for plan in plans:
@@ -366,13 +372,22 @@ def _one_sweep(cfg: dict) -> rob_mod.SweepReport:
     )
     if cfg["qae"] not in qae_mod.C_QAE_REFERENCE:
         raise SchemaError(f"qae-sweep: unknown qae kind {cfg['qae']!r}")
+    amplitudes = [float(a) for a in cfg["amplitudes"]]
+    repeats = int(cfg.get("repeats", 500))
+    n_resamples = int(cfg.get("n_resamples", 200))
+    if repeats < 100 or n_resamples < 100:
+        raise SchemaError(
+            f"qae-sweep: repeats ({repeats}) and n_resamples ({n_resamples}) must be >= 100"
+        )
+    if not all(0.0 < a < 1.0 for a in amplitudes):
+        raise SchemaError(f"qae-sweep: amplitudes must lie in (0, 1), got {amplitudes}")
     return rob_mod.amplitude_sweep(
         cfg["qae"],
-        cfg["amplitudes"],
+        amplitudes,
         cfg["q_list"],
-        repeats=int(cfg.get("repeats", 500)),
+        repeats=repeats,
         seed=int(cfg.get("seed", 0)),
-        n_resamples=int(cfg.get("n_resamples", 200)),
+        n_resamples=n_resamples,
         p_max_fail=float(cfg.get("p_max_fail", 0.5)),
     )
 

@@ -39,6 +39,8 @@ QUANTITY_KINDS = (
     "ConditionalExponential",
     "BernoulliQubit",
 )
+# the kinds that read an indicator qubit
+INDICATOR_KINDS = ("ConditionalExpectation", "ConditionalExponential", "BernoulliQubit")
 
 _COEFF_TABLE = 4096  # harmonics computed per series (closed form, cheap)
 
@@ -237,7 +239,7 @@ def quantity_series(kind: str, support: tuple[float, float]) -> QuantitySpec:
     t_x = hi - lo
     c_f = _c_f(series, _norm_range(kind, t_x))
     x_star = None
-    if kind in ("ConditionalExpectation", "ConditionalExponential"):
+    if kind in INDICATOR_KINDS:
         x_star = 0.0 if lo <= 0.0 <= hi else lo
     return QuantitySpec(kind, series, c_f, x_star=x_star, support=(lo, hi))
 
@@ -388,34 +390,48 @@ def allocate_uses(coefficients, q_total: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# the end-to-end estimate
+# the term plan
 
 
-def _normalised_metadata(kind, d, window):
-    """Rescaled (x_l, delta) mapping the support window onto the series'
-    normalised piece, plus the affine recovery (scale, offset):
-    estimate_real = offset + scale * estimate_normalised."""
-    lo = d.x_l if window is None else window[0]
-    hi = d.x_u if window is None else window[1]
+@dataclass(frozen=True)
+class TermPlan:
+    """Everything a QMCI run fixes before it simulates anything.
+
+    ``terms`` holds the estimated (m, trig, coeff) harmonics and ``uses``
+    the oracle uses of each; BernoulliQubit has the single term
+    (0, "bernoulli", 1.0).  The series sees register value k at
+    x_n = x_l_n + delta_n * k, and the real estimate is
+    offset + scale * estimate_n.  Conditional kinds carry the normalised
+    x* and the indicator qubit; BernoulliQubit carries the indicator qubit.
+    """
+
+    q_total: int
+    c_f: float
+    c_qae: float
+    quantity_range: float
+    terms: tuple
+    uses: tuple
+    x_l_n: float = 0.0
+    delta_n: float = 1.0
+    scale: float = 1.0
+    offset: float = 0.0
+    x_star_n: float | None = None
+    cond_qubit: int | None = None
+
+
+def _affine(kind: str, lo: float, hi: float) -> tuple[float, float, float, float]:
+    """(shift, stretch, scale, offset) for the support window [lo, hi]: the
+    series is applied to x_n = (x - shift) / stretch, and the estimate of
+    the normalised quantity maps back as offset + scale * estimate_n."""
     if kind in ("Mean", "ConditionalExpectation"):
-        centre = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        return ((d.x_l - centre) / half, d.delta / half), half, centre, (lo, hi)
+        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return centre, half, half, centre
     if kind == "SecondMoment":
         x_b = max(hi, -lo)
-        return (d.x_l / x_b, d.delta / x_b), x_b**2, 0.0, (lo, hi)
-    # exponential kinds: shift only
+        return 0.0, x_b, x_b**2, 0.0
+    # exponential kinds: shift only, so exp(x) = exp(shift) exp(x_n)
     shift = 0.5 * (lo + hi)
-    return (d.x_l - shift, d.delta), math.exp(shift), 0.0, (lo, hi)
-
-
-def _normalise_value(kind, x, window):
-    lo, hi = window
-    if kind in ("Mean", "ConditionalExpectation"):
-        return (x - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
-    if kind == "SecondMoment":
-        return x / max(hi, -lo)
-    return x - 0.5 * (lo + hi)
+    return shift, 1.0, math.exp(shift), 0.0
 
 
 def _truncate(series: FourierSeries, scale: float, target: float) -> int:
@@ -427,6 +443,81 @@ def _truncate(series: FourierSeries, scale: float, target: float) -> int:
     if len(above) == 0:
         return 1
     return min(int(above[-1]) + 1, series.truncation)
+
+
+def plan_terms(
+    dc: DistributionCircuit,
+    spec: QuantitySpec,
+    dim: int,
+    qae_kind: str,
+    q_total: int | None = None,
+    target_rmse: float | None = None,
+    condition: int | None = None,
+) -> TermPlan:
+    """Budget, truncation, term selection, use allocation and
+    normalisation of one QMCI run; simulates nothing.
+
+    Without ``q_total`` the budget is the one whose closed-form bound
+    c_f c_QAE R / q meets ``target_rmse``.  The series is truncated where
+    its dropped tail falls below a tenth of ``target_rmse``, or of that
+    bound at ``q_total`` when no target is given.  ``qmci_estimate`` runs
+    this plan and resource mode counts it.
+    """
+    c_qae = qae_mod.C_QAE_REFERENCE[qae_kind]
+    if q_total is None and target_rmse is None:
+        raise ValueError("give q_total or target_rmse")
+    if target_rmse is not None and not target_rmse > 0:
+        raise ValueError("target_rmse must be positive")
+    bernoulli = spec.kind == "BernoulliQubit"
+    conditional = spec.kind in INDICATOR_KINDS and not bernoulli
+    cond_qubit = None
+    if spec.kind in INDICATOR_KINDS:
+        if condition is None:
+            raise ValueError(f"{spec.kind} needs a designated indicator")
+        cond_qubit = dc.indicators[condition]
+    if bernoulli:
+        lo, hi = 0.0, 1.0  # no register: the quantity is the indicator itself
+    else:
+        d = dc.dims[dim]
+        lo, hi = (d.x_l, d.x_u) if spec.support_window is None else spec.support_window
+    quantity_range = range_of_quantity(spec.kind, (lo, hi))
+    c_range = spec.c_f * c_qae * quantity_range  # the closed-form bound is c_range / q
+    if q_total is None:
+        q_total = max(1, math.ceil(c_range / target_rmse))
+    if q_total < 1:
+        raise ValueError("budget must be >= 1")
+    if bernoulli:
+        return TermPlan(q_total, spec.c_f, c_qae, quantity_range,
+                        ((0, "bernoulli", 1.0),), (q_total,), cond_qubit=cond_qubit)
+
+    shift, stretch, scale, offset = _affine(spec.kind, lo, hi)
+    series = spec.series
+    target = target_rmse if target_rmse is not None else c_range / q_total
+    terms = []
+    for m in range(1, _truncate(series, scale, target) + 1):
+        if abs(series.a[m - 1]) > 1e-13:
+            terms.append((m, "cos", series.a[m - 1]))
+        if abs(series.b[m - 1]) > 1e-13:
+            terms.append((m, "sin", series.b[m - 1]))
+    if q_total < len(terms):
+        raise ValueError(
+            f"budget {q_total} below the {len(terms)} harmonics to estimate"
+        )
+    uses = allocate_uses([c for (_, _, c) in terms], q_total)
+    x_star_n = None
+    if conditional:
+        x_star = spec.x_star
+        if x_star is None:
+            x_star = 0.0 if lo <= 0.0 <= hi else lo
+        x_star_n = (x_star - shift) / stretch
+    return TermPlan(
+        q_total, spec.c_f, c_qae, quantity_range, tuple(terms), tuple(uses),
+        (d.x_l - shift) / stretch, d.delta / stretch, scale, offset, x_star_n, cond_qubit,
+    )
+
+
+# --------------------------------------------------------------------------
+# the end-to-end estimate
 
 
 def _substream_seed(seed: int, m: int, trig: str) -> int:
@@ -461,91 +552,50 @@ def qmci_estimate(
 ) -> QmciResult:
     """Estimate the quantity over one dimension of a distribution circuit.
 
-    Runs one QAE per allocated harmonic on the corresponding rotation-bank
-    circuit, combines the trigonometric estimates through the Fourier
-    coefficients and undoes the affine normalisation.  BernoulliQubit
-    bypasses the series and runs a single QAE on the indicator qubit.
-    Harmonic (m, trig) draws its own seed substream, so results do not
-    depend on evaluation order.
+    Runs the ``plan_terms`` plan: one QAE per allocated harmonic on the
+    corresponding rotation-bank circuit, combined through the Fourier
+    coefficients and mapped back through the affine normalisation.
+    BernoulliQubit bypasses the series and runs a single QAE on the
+    indicator qubit.  Harmonic (m, trig) draws its own seed substream, so
+    results do not depend on evaluation order.
     """
-    c_ref = qae_mod.C_QAE_REFERENCE[qae_kind]
+    plan = plan_terms(dc, spec, dim, qae_kind, q_total, target_rmse, condition)
+    q_total = plan.q_total
     if spec.kind == "BernoulliQubit":
-        if condition is None:
-            raise ValueError("BernoulliQubit needs a designated indicator")
-        if q_total is None:
-            if target_rmse is None:
-                raise ValueError("give q_total or target_rmse")
-            q_total = max(1, math.ceil(c_ref / target_rmse))
-        a_val = float(_cached_pmf(dc.circuit, [dc.indicators[condition]])[1])
+        a_val = float(_cached_pmf(dc.circuit, [plan.cond_qubit])[1])
         res = qae_mod.estimate_amplitude(qae_kind, a_val, q_total,
                                          _substream_seed(seed, 0, "cos"), lcu_p_max_fail)
-        lam = res.lam
-        bound = c_ref / (q_total if lam == 2 else math.sqrt(q_total))
+        bound = plan.c_qae / (q_total if res.lam == 2 else math.sqrt(q_total))
         return QmciResult(res.a_hat, bound, q_total, [(0, "bernoulli", q_total, res.a_hat)])
 
     d = dc.dims[dim]
-    window = spec.support_window
-    (xl_n, delta_n), scale, offset, win = _normalised_metadata(spec.kind, d, window)
-    series = spec.series
-    support_range = range_of_quantity(spec.kind, win)
-    if q_total is None:
-        if target_rmse is None:
-            raise ValueError("give q_total or target_rmse")
-        q_total = max(1, math.ceil(spec.c_f * c_ref * support_range / target_rmse))
-    if q_total < 1:
-        raise ValueError("budget must be >= 1")
-    target = target_rmse if target_rmse is not None else (
-        spec.c_f * c_ref * support_range / q_total
-    )
-    m_trunc = _truncate(series, scale, target)
-    terms = []  # (m, trig, coeff)
-    for m in range(1, m_trunc + 1):
-        if abs(series.a[m - 1]) > 1e-13:
-            terms.append((m, "cos", series.a[m - 1]))
-        if abs(series.b[m - 1]) > 1e-13:
-            terms.append((m, "sin", series.b[m - 1]))
-    if q_total < len(terms):
-        raise ValueError(
-            f"budget {q_total} below the {len(terms)} harmonics to estimate"
-        )
-    alloc = allocate_uses([c for (_, _, c) in terms], q_total)
-
-    conditional = spec.kind in ("ConditionalExpectation", "ConditionalExponential")
-    x_star_n = None
+    conditional = plan.x_star_n is not None
     if conditional:
-        if condition is None:
-            raise ValueError(f"{spec.kind} needs a designated indicator")
-        cond_qubit = dc.indicators[condition]
-        x_star = spec.x_star
-        if x_star is None:
-            lo, hi = win
-            x_star = 0.0 if lo <= 0.0 <= hi else lo
-        x_star_n = _normalise_value(spec.kind, x_star, win)
-        joint = _cached_pmf(dc.circuit, list(d.qubits) + [cond_qubit])
+        joint = _cached_pmf(dc.circuit, list(d.qubits) + [plan.cond_qubit])
         p_x = joint[1::2]  # P(x, indicator = 1)
         p_rest = float(joint[0::2].sum())
     else:
         p_x = _cached_pmf(dc.circuit, list(d.qubits))
-        p_rest = 0.0
 
     # per-harmonic amplitudes straight from the exactly simulated PMF;
     # identical to simulating the rotation-bank circuit of build_A_circuit
     # (the test suite pins that equivalence to 1e-10)
-    x_norm = xl_n + delta_n * np.arange(d.n_points)
+    series = spec.series
+    x_norm = plan.x_l_n + plan.delta_n * np.arange(d.n_points)
     estimate_n = series.a0
     per_harmonic = []
-    for (m, trig, coeff), q_m in zip(terms, alloc):
+    for (m, trig, coeff), q_m in zip(plan.terms, plan.uses):
         beta = 0.0 if trig == "cos" else math.pi / 2.0
         half = 0.5 * (m * series.omega * x_norm - beta)
         a_val = float(np.sum(p_x * np.sin(half) ** 2))
         if conditional:
-            a_val += p_rest * math.sin(0.5 * (m * series.omega * x_star_n - beta)) ** 2
+            a_val += p_rest * math.sin(0.5 * (m * series.omega * plan.x_star_n - beta)) ** 2
         a_val = min(1.0, max(0.0, a_val))
         res = qae_mod.estimate_amplitude(qae_kind, a_val, q_m,
                                          _substream_seed(seed, m, trig), lcu_p_max_fail)
         estimate_n += coeff * (1.0 - 2.0 * res.a_hat)
         per_harmonic.append((m, trig, q_m, res.a_hat))
 
-    estimate = offset + scale * estimate_n
-    bound = spec.c_f * c_ref * support_range / q_total
-    return QmciResult(estimate, bound, int(np.sum(alloc)), per_harmonic)
+    estimate = plan.offset + plan.scale * estimate_n
+    bound = plan.c_f * plan.c_qae * plan.quantity_range / q_total
+    return QmciResult(estimate, bound, int(np.sum(plan.uses)), per_harmonic)

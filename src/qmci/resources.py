@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from scipy.optimize import brentq
 
 from .circuit import QuantumCircuit, ResourceBox
-from .distributions import DistributionCircuit
+from .distributions import DistributionCircuit, rescale
 from . import fourier as fourier_mod
-from . import qae as qae_mod
 from .qae import eis_schedule, grover_operator, QaeProblem
 from .rebase import (
     count_ft_content,
@@ -40,7 +39,6 @@ class QmciPlan:
     c_f: float
     c_qae: float
     quantity_range: float
-    resource_only: bool = True
 
     def level_multiset(self):
         """All (m, shots) pairs across harmonics."""
@@ -48,9 +46,6 @@ class QmciPlan:
         for sched in self.schedules:
             out.extend(sched)
         return out
-
-    def max_level(self) -> int:
-        return max((m for m, _ in self.level_multiset()), default=0)
 
 
 @dataclass
@@ -123,93 +118,35 @@ def build_plan(
     target_rmse: float | None = None,
     condition: int | None = None,
 ) -> QmciPlan:
-    """Mirror of ``qmci_estimate``'s allocation, collecting circuits and
-    shot schedules instead of running them (deterministic-schedule QAE
-    kinds: PAM, MLQAE, LCU)."""
+    """The ``fourier.plan_terms`` plan that ``qmci_estimate`` runs, with
+    shot schedules and one representative (A, Q) pair in place of QAE runs
+    (deterministic-schedule QAE kinds: PAM, MLQAE, LCU).  Simulates
+    nothing."""
     if qae_kind == "IQAE":
         raise ValueError("IQAE has a data-dependent schedule; no resource plan")
-    c_ref = qae_mod.C_QAE_REFERENCE[qae_kind]
-
-    def schedule_for(q: int):
-        if qae_kind == "PAM":
-            return [(0, q)]
-        return eis_schedule(q)
-
+    run = fourier_mod.plan_terms(dc, spec, dim, qae_kind, q_total, target_rmse, condition)
     if spec.kind == "BernoulliQubit":
-        if condition is None:
-            raise ValueError("BernoulliQubit needs a designated indicator")
-        if q_total is None:
-            q_total = max(1, math.ceil(c_ref / target_rmse))
         a = dc.circuit.copy()
-        problem = QaeProblem(a, dc.indicators[condition])
-        return QmciPlan(
-            a_circuit=a,
-            grover=grover_operator(problem),
-            schedules=[schedule_for(q_total)],
-            q_total=q_total,
-            quantity=spec.kind,
-            c_f=1.0,
-            c_qae=c_ref,
-            quantity_range=1.0,
+        problem = QaeProblem(a, run.cond_qubit)
+    else:
+        m0, trig0, _ = run.terms[0]
+        beta0 = 0.0 if trig0 == "cos" else math.pi / 2.0
+        omega = spec.series.omega
+        x_star_angle = None if run.x_star_n is None else m0 * omega * run.x_star_n - beta0
+        a = fourier_mod.build_A_circuit(
+            rescale(dc, dim, run.x_l_n, run.delta_n), dim, beta0, m0, omega,
+            condition=run.cond_qubit, x_star_angle=x_star_angle,
         )
-
-    d = dc.dims[dim]
-    window = spec.support_window
-    (xl_n, delta_n), scale, _, win = fourier_mod._normalised_metadata(
-        spec.kind, d, window
-    )
-    series = spec.series
-    support_range = fourier_mod.range_of_quantity(spec.kind, win)
-    if q_total is None:
-        if target_rmse is None:
-            raise ValueError("give q_total or target_rmse")
-        q_total = max(1, math.ceil(spec.c_f * c_ref * support_range / target_rmse))
-    if q_total < 1:
-        raise ValueError("budget must be >= 1")
-    target = target_rmse if target_rmse is not None else (
-        spec.c_f * c_ref * support_range / q_total
-    )
-    m_trunc = fourier_mod._truncate(series, scale, target)
-    terms = []
-    for m in range(1, m_trunc + 1):
-        if abs(series.a[m - 1]) > 1e-13:
-            terms.append((m, "cos", series.a[m - 1]))
-        if abs(series.b[m - 1]) > 1e-13:
-            terms.append((m, "sin", series.b[m - 1]))
-    if q_total < len(terms):
-        raise ValueError(f"budget {q_total} below the {len(terms)} harmonics")
-    alloc = fourier_mod.allocate_uses([c for (_, _, c) in terms], q_total)
-
-    conditional = spec.kind in ("ConditionalExpectation", "ConditionalExponential")
-    cond_qubit = dc.indicators[condition] if conditional else None
-    from .distributions import rescale
-
-    norm_dc = rescale(dc, dim, xl_n, delta_n)
-    m0, trig0, _ = terms[0]
-    beta0 = 0.0 if trig0 == "cos" else math.pi / 2.0
-    x_star_angle = None
-    if conditional:
-        x_star = spec.x_star
-        if x_star is None:
-            lo, hi = win
-            x_star = 0.0 if lo <= 0.0 <= hi else lo
-        x_star_angle = m0 * series.omega * fourier_mod._normalise_value(
-            spec.kind, x_star, win
-        ) - beta0
-    a = fourier_mod.build_A_circuit(
-        norm_dc, dim, beta0, m0, series.omega,
-        condition=cond_qubit, x_star_angle=x_star_angle,
-    )
-    problem = QaeProblem(a, a.n_qubits - 1)
+        problem = QaeProblem(a, a.n_qubits - 1)
     return QmciPlan(
         a_circuit=a,
         grover=grover_operator(problem),
-        schedules=[schedule_for(q_m) for q_m in alloc],
-        q_total=q_total,
+        schedules=[[(0, q)] if qae_kind == "PAM" else eis_schedule(q) for q in run.uses],
+        q_total=run.q_total,
         quantity=spec.kind,
-        c_f=spec.c_f,
-        c_qae=c_ref,
-        quantity_range=support_range,
+        c_f=run.c_f,
+        c_qae=run.c_qae,
+        quantity_range=run.quantity_range,
     )
 
 
@@ -269,9 +206,6 @@ def _constraint_fn(q, eps, a_term, n_r_q, rng3, tight):
 def ft_optimize(
     plan: QmciPlan,
     target_mse: float,
-    quantity_range: float | None = None,
-    c_f: float | None = None,
-    c_qae: float | None = None,
     tight: bool = False,
 ) -> FtSolution:
     """Optimal (q, epsilon) minimising the T count subject to the MSE
@@ -283,13 +217,11 @@ def ft_optimize(
     """
     if target_mse <= 0:
         raise ValueError("target_mse must be positive")
-    rng = plan.quantity_range if quantity_range is None else quantity_range
-    cf = plan.c_f if c_f is None else c_f
-    cq = plan.c_qae if c_qae is None else c_qae
+    rng = plan.quantity_range
     lowered = lower_to_rotations_clifford_t(plan.grover)
     content = count_ft_content(lowered)
     n_r_q, n_t_q = content.rotation_count, content.t_count_exact
-    a_term = (cf * cq * rng) ** 2
+    a_term = (plan.c_f * plan.c_qae * rng) ** 2
     rng3 = rng**3
     q_min = math.sqrt(a_term / target_mse)
 

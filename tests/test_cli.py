@@ -163,10 +163,11 @@ def test_unknown_key_exits_2(tmp_path, capsys):
 
 
 def test_numeric_failure_exits_3(tmp_path):
+    # a well-formed budget too small for the harmonics its target needs
     cfg = write(tmp_path, "c.json", {
         "seed": 1,
         "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
-        "quantity": {"quantity": "Mean", "q_total": 0},
+        "quantity": {"quantity": "Mean", "q_total": 10, "target_rmse": 1e-6},
     })
     assert run(["estimate", cfg]) == 3
 
@@ -284,7 +285,104 @@ def test_unknown_instrument_exits_2(tmp_path, command, capsys):
     {"sweeps": [{"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100}],
      "sweps": 1},
     {"sweeps": []},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 99},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "n_resamples": 99},
+    {"qae": "PAM", "amplitudes": [0.5, 1.0], "q_list": [100], "repeats": 100},
 ])
 def test_qae_sweep_bad_config_exits_2(tmp_path, cfg):
     assert run(["qae-sweep", write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
     assert not (tmp_path / "o").exists()
+
+
+BARRIER = {"instrument": "Barrier", "space": "return", "n_slices": 2,
+           "total_volatility": 0.1, "strike_ratio": 1.05, "barrier_ratio": 1.1,
+           "payoff_kind": "value"}
+UNIT_2Q = {"source": "gaussian", "n_qubits": 2, "mu": 0.0, "sigma": 1.0,
+           "x_l": -5.0, "delta": 10 / 3}
+
+
+@pytest.mark.parametrize("command", ["estimate", "resources"])
+@pytest.mark.parametrize("block, bad", [
+    ("quantity", {}),
+    ("instrument", {}),
+    ("quantity", {"q_total": 0}),
+    ("instrument", {"q_budget": 0}),
+    ("quantity", {"target_rmse": 0}),
+    ("instrument", {"target_rmse": 0}),
+    ("quantity", {"target_rmse": -1}),
+    ("instrument", {"target_rmse": -1}),
+])
+def test_bad_budget_exits_2(tmp_path, command, block, bad, capsys):
+    cfg = {"seed": 1, "mode": "nisq"} if command == "resources" else {"seed": 1}
+    if block == "quantity":
+        cfg.update(distribution={"source": "standard", "kind": "gaussian_unit_6q"},
+                   quantity={"quantity": "Mean", **bad})
+    else:
+        cfg.update(distribution=UNIT_2Q, instrument={**BARRIER, **bad})
+    assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "resources"])
+@pytest.mark.parametrize("quantity, condition", [
+    ("ConditionalExpectation", None), ("BernoulliQubit", None), ("BernoulliQubit", 1),
+])
+def test_indicator_quantity_needs_a_condition(tmp_path, command, quantity, condition):
+    cfg = {
+        "seed": 1,
+        "distribution": {"source": "gaussian", "n_qubits": 3, "mu": 0.0,
+                          "sigma": 0.1, "x_l": -0.5, "delta": 1 / 7},
+        "quantity": {"quantity": quantity, "q_total": 500, "condition": condition},
+    }
+    if command == "resources":
+        cfg["mode"] = "nisq"
+    assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+
+
+def test_instrument_plan_uses_match_estimate(tmp_path, monkeypatch):
+    # a q_budget-only instrument plans the harmonics its estimate runs
+    from qmci import resources
+
+    plans = []
+    real = resources.build_plan
+
+    def recording_build_plan(*args, **kw):
+        plans.append(real(*args, **kw))
+        return plans[-1]
+
+    monkeypatch.setattr(resources, "build_plan", recording_build_plan)
+    for q in (200, 20_000):
+        plans.clear()
+        base = {"distribution": UNIT_2Q, "instrument": {**BARRIER, "q_budget": q}}
+        assert run(["resources", write(tmp_path, "r.json", {**base, "mode": "nisq"}),
+                    "--out-dir", tmp_path / "r"]) == 0
+        assert run(["estimate", write(tmp_path, "e.json", {**base, "seed": 1}),
+                    "--out-dir", tmp_path / "e"]) == 0
+        runs = json.loads((tmp_path / "e" / "qmci_result.json").read_text())["runs"]
+        planned = [[sum(s * (2 * m + 1) for m, s in sched) for sched in p.schedules]
+                   for p in plans]
+        assert planned == [[h["q"] for h in r["per_harmonic"]] for r in runs]
+
+
+def test_json_outputs_are_strict(tmp_path):
+    # PAM far below its resolution: every repeat reads 0, so the shape
+    # statistics and their intervals are undefined
+    cfg = write(tmp_path, "c.json", {
+        "qae": "PAM", "amplitudes": [1e-9], "q_list": [100], "repeats": 100,
+        "n_resamples": 100, "seed": 1,
+    })
+    assert run(["qae-sweep", cfg, "--out-dir", tmp_path / "o"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    doc = json.loads((tmp_path / "o" / "sweep.json").read_text(), parse_constant=reject)
+    assert doc["cells"]["1e-09|100"]["skewness"] is None
+
+
+def test_dump_json_maps_non_finite_floats():
+    from qmci.cli import _dump_json
+
+    doc = json.loads(_dump_json({"a": [float("inf"), -float("inf"), float("nan"), 1.5]}))
+    assert doc == {"a": ["inf", "-inf", None, 1.5]}

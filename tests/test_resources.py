@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from qmci.circuit import QuantumCircuit, ResourceBox
-from qmci.distributions import discretize_pdf, exact_pmf_loader, gaussian_pdf, rescale
-from qmci.fourier import quantity_series
+from qmci.distributions import (
+    DistributionCircuit,
+    discretize_pdf,
+    exact_pmf_loader,
+    gaussian_pdf,
+    rescale,
+)
+from qmci.fourier import qmci_estimate, quantity_series
 from qmci.pbuilder import InstrumentSpec, build_instrument
 from qmci.rebase import count_nisq, rebase_tk1_cnot
 from qmci.resources import (
@@ -232,6 +238,28 @@ def test_plan_from_real_estimate_matches_allocation():
     uses = sum(s * (2 * m + 1) for sched in plan.schedules for m, s in sched)
     assert uses == 2000
     assert plan.a_circuit.n_qubits == dc.circuit.n_qubits + 1
+
+
+@pytest.mark.parametrize("kind", [
+    "Mean", "SecondMoment", "Exponential", "ConditionalExpectation", "BernoulliQubit",
+])
+@pytest.mark.parametrize("qae_kind", ["PAM", "MLQAE", "LCU"])
+@pytest.mark.parametrize("q_total, target_rmse", [(300, None), (None, 0.05), (600, 0.02)])
+def test_plan_counts_the_estimate_it_mirrors(kind, qae_kind, q_total, target_rmse):
+    delta = 1.0 / 7
+    target = discretize_pdf(lambda x: gaussian_pdf(x, 0.05, 0.2), 3, -0.5, delta)
+    dc = rescale(exact_pmf_loader(target), 0, -0.5, delta)
+    qc = dc.circuit.widened(4)
+    qc.append("CRy", (dc.dims[0].qubits[0], 3), 2.1)  # indicator correlated with x
+    dc = DistributionCircuit(qc, dc.dims, indicators=[3])
+    spec = quantity_series(kind, (dc.dims[0].x_l, dc.dims[0].x_u))
+    plan = build_plan(dc, spec, 0, qae_kind, q_total=q_total, target_rmse=target_rmse,
+                      condition=0)
+    res = qmci_estimate(dc, spec, 0, qae_kind, q_total=q_total, target_rmse=target_rmse,
+                        seed=3, condition=0)
+    planned = [sum(s * (2 * m + 1) for m, s in sched) for sched in plan.schedules]
+    assert planned == [q for (_, _, q, _) in res.per_harmonic]
+    assert plan.q_total == res.uses_total
 
 
 def test_plan_rejects_iqae():

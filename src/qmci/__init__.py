@@ -50,7 +50,6 @@ from .fourier import (
     rmse_bound,
 )
 from .qae import (
-    QaeConfig,
     QaeProblem,
     QaeResult,
     benchmark_circuit,
@@ -58,13 +57,8 @@ from .qae import (
     estimate_amplitude,
     grover_operator,
     grover_operator_tilde,
-    iqae,
     lcu_likelihood,
     lcu_prepare,
-    lcu_qae,
-    mlqae,
-    pam,
-    run_qae,
 )
 from .robustness import (
     EstimatorStats,
@@ -96,10 +90,9 @@ __all__ = [
     "build_brownian", "build_instrument",
     "FourierSeries", "QuantitySpec", "QmciResult", "quantity_series",
     "build_A_circuit", "allocate_uses", "rmse_bound", "qmci_estimate",
-    "QaeProblem", "QaeConfig", "QaeResult", "benchmark_circuit",
+    "QaeProblem", "QaeResult", "benchmark_circuit",
     "grover_operator", "grover_operator_tilde", "eis_schedule",
-    "estimate_amplitude", "pam", "mlqae", "iqae", "lcu_prepare", "lcu_likelihood",
-    "lcu_qae", "run_qae",
+    "estimate_amplitude", "lcu_prepare", "lcu_likelihood",
     "EstimatorStats", "SweepReport", "estimator_stats", "bootstrap_ci",
     "amplitude_sweep",
     "QmciPlan", "FtSolution", "ResourceReport", "build_plan", "nisq_report",

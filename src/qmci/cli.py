@@ -187,13 +187,23 @@ _QUANTITY_KEYS = {"quantity", "dimension", "condition", "x_star", "target_rmse",
                   "q_total", "support_window"}
 
 
+def _is_int(value, lo: int) -> bool:
+    return type(value) is int and value >= lo
+
+
+def _p_max_fail(value, where: str) -> float:
+    if not (type(value) in (int, float) and 0 < value < 1):
+        raise SchemaError(f"{where}: p_max_fail must lie in (0, 1), got {value!r}")
+    return value
+
+
 def _qae_kind(cfg: dict) -> tuple[str, float]:
     qcfg = cfg.get("qae", {})
     _check_keys(qcfg, _QAE_KEYS, set(), "qae")
     kind = qcfg.get("qae", "MLQAE")
     if kind not in qae_mod.C_QAE_REFERENCE:
         raise SchemaError(f"qae: unknown kind {kind!r}")
-    return kind, float(qcfg.get("p_max_fail", 0.5))
+    return kind, _p_max_fail(qcfg.get("p_max_fail", 0.5), "qae")
 
 
 def _quantity_block(qcfg: dict) -> pb_mod.PayoffConfig:
@@ -237,7 +247,7 @@ def _budget(q_total, target_rmse, where: str) -> tuple[int | None, float | None]
     q_total an integer >= 1, target_rmse positive and finite."""
     if q_total is None and target_rmse is None:
         raise SchemaError(f"{where}: give a use budget or target_rmse")
-    if q_total is not None and not (type(q_total) is int and q_total >= 1):
+    if q_total is not None and not _is_int(q_total, 1):
         raise SchemaError(f"{where}: the use budget must be an integer >= 1, got {q_total!r}")
     if target_rmse is not None and not (
         type(target_rmse) in (int, float) and 0 < target_rmse < math.inf
@@ -314,6 +324,8 @@ def cmd_resources(cfg: dict, out_dir: str) -> list[str]:
     if mode not in ("nisq", "ft", "ft_tight"):
         raise SchemaError(f"resources: unknown mode {mode!r}")
     qae_kind, _ = _qae_kind(cfg)
+    if qae_kind == "IQAE":
+        raise SchemaError("resources: IQAE has a data-dependent schedule; no resource plan")
     unit = _load_distribution(cfg["distribution"])
     dc, pcfgs, budget = _payoffs(cfg, unit, "resources")
     plans = []
@@ -372,23 +384,27 @@ def _one_sweep(cfg: dict) -> rob_mod.SweepReport:
     )
     if cfg["qae"] not in qae_mod.C_QAE_REFERENCE:
         raise SchemaError(f"qae-sweep: unknown qae kind {cfg['qae']!r}")
-    amplitudes = [float(a) for a in cfg["amplitudes"]]
-    repeats = int(cfg.get("repeats", 500))
-    n_resamples = int(cfg.get("n_resamples", 200))
-    if repeats < 100 or n_resamples < 100:
-        raise SchemaError(
-            f"qae-sweep: repeats ({repeats}) and n_resamples ({n_resamples}) must be >= 100"
-        )
-    if not all(0.0 < a < 1.0 for a in amplitudes):
-        raise SchemaError(f"qae-sweep: amplitudes must lie in (0, 1), got {amplitudes}")
+    amplitudes, q_list = cfg["amplitudes"], cfg["q_list"]
+    repeats = cfg.get("repeats", 500)
+    n_resamples = cfg.get("n_resamples", 200)
+    if not (_is_int(repeats, 100) and _is_int(n_resamples, 100)):
+        raise SchemaError(f"qae-sweep: repeats ({repeats!r}) and n_resamples "
+                          f"({n_resamples!r}) must be integers >= 100")
+    if not (isinstance(amplitudes, list) and amplitudes
+            and all(type(a) in (int, float) and 0 < a < 1 for a in amplitudes)):
+        raise SchemaError(f"qae-sweep: amplitudes must be a non-empty list of numbers "
+                          f"in (0, 1), got {amplitudes!r}")
+    if not (isinstance(q_list, list) and q_list and all(_is_int(q, 1) for q in q_list)):
+        raise SchemaError(f"qae-sweep: q_list must be a non-empty list of integers >= 1, "
+                          f"got {q_list!r}")
     return rob_mod.amplitude_sweep(
         cfg["qae"],
         amplitudes,
-        cfg["q_list"],
+        q_list,
         repeats=repeats,
         seed=int(cfg.get("seed", 0)),
         n_resamples=n_resamples,
-        p_max_fail=float(cfg.get("p_max_fail", 0.5)),
+        p_max_fail=_p_max_fail(cfg.get("p_max_fail", 0.5), "qae-sweep"),
     )
 
 

@@ -15,10 +15,11 @@ Use accounting is uniform: one shot at Grover power m costs 2m+1 uses of A
 (one initial A, two per Q).  Every algorithm consumes its stated budget
 exactly, except IQAE which may leave a small remainder (>= 90% consumed).
 
-Shots are simulated without re-running circuits per shot: the amplitude of
-A is computed once by exact state-vector simulation, after which outcome
-draws follow the closed-form likelihoods (the test suite verifies those
-likelihoods against direct simulation of the composed circuits).
+Shots are simulated without re-running circuits per shot: each estimator
+takes the exact amplitude of A, read once from a state-vector simulation,
+and draws outcomes from the closed-form likelihoods (the test suite
+verifies those likelihoods against direct simulation of the composed
+circuits).
 
 Each ``*_from_amplitude`` estimator is vectorised over repeats: with
 ``repeats=n`` it returns the estimates of n independent runs drawn in
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import QuantumCircuit, controlled_x
-from .simulator import marginal_pmf, simulate
 
 C_QAE_REFERENCE = {"PAM": 0.5, "MLQAE": 8.02, "IQAE": 14.4, "LCU": 7.82}
 
@@ -59,22 +59,6 @@ class QaeProblem:
 
 
 @dataclass
-class QaeConfig:
-    kind: str = "MLQAE"  # PAM | MLQAE | IQAE | LCU
-    q: int = 1000
-    seed: int = 0
-    p_max_fail: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in C_QAE_REFERENCE:
-            raise ValueError(f"unknown QAE kind {self.kind!r}")
-        if self.q < 1:
-            raise ValueError("use budget must be >= 1")
-        if not 0.0 < self.p_max_fail < 1.0:
-            raise ValueError("p_max_fail must lie in (0, 1)")
-
-
-@dataclass
 class QaeResult:
     a_hat: float
     uses_successful: int
@@ -89,20 +73,7 @@ class QaeResult:
 
 
 # --------------------------------------------------------------------------
-# amplitudes and the Grover operator
-
-_AMP_CACHE: dict = {}
-
-
-def amplitude(problem: QaeProblem) -> float:
-    """Exact a = P(good qubit = 1) of A|0>, memoised by circuit identity."""
-    key = (problem.a_circuit.key(), problem.good_qubit)
-    if key not in _AMP_CACHE:
-        if len(_AMP_CACHE) > 4096:
-            _AMP_CACHE.clear()
-        state = simulate(problem.a_circuit)
-        _AMP_CACHE[key] = float(marginal_pmf(state, [problem.good_qubit])[1])
-    return _AMP_CACHE[key]
+# the Grover operator
 
 
 def grover_operator(problem: QaeProblem) -> QuantumCircuit:
@@ -196,6 +167,7 @@ def _n_runs(repeats: int | None) -> int:
 
 
 def pam_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None = None):
+    """Prepare-and-measure: a_hat is the fraction of ones over q shots."""
     if q < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
@@ -203,11 +175,6 @@ def pam_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None =
     if repeats is not None:
         return a_hat
     return QaeResult(float(a_hat[0]), q, 1, C_QAE_REFERENCE["PAM"])
-
-
-def pam(problem: QaeProblem, q: int, seed: int = 0) -> QaeResult:
-    """Prepare-and-measure: a_hat is the fraction of ones over q shots."""
-    return pam_from_amplitude(amplitude(problem), q, seed)
 
 
 # --------------------------------------------------------------------------
@@ -261,6 +228,11 @@ def _mlqae_theta(levels, shots, hits) -> np.ndarray:
 
 
 def mlqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None = None):
+    """Maximum-likelihood QAE over the EIS schedule.
+
+    The likelihood over theta is maximised on a coarse grid and refined
+    locally, and a_hat = sin^2(theta_mle).
+    """
     theta = math.asin(math.sqrt(a))
     schedule = eis_schedule(q)
     levels = np.array([m for m, _ in schedule])
@@ -272,15 +244,6 @@ def mlqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None
     if repeats is not None:
         return a_hat
     return QaeResult(float(a_hat[0]), q, 2, C_QAE_REFERENCE["MLQAE"])
-
-
-def mlqae(problem: QaeProblem, q: int, seed: int = 0) -> QaeResult:
-    """Maximum-likelihood QAE over the EIS schedule.
-
-    The likelihood over theta is maximised on a coarse grid and refined
-    locally, and a_hat = sin^2(theta_mle).
-    """
-    return mlqae_from_amplitude(amplitude(problem), q, seed)
 
 
 # --------------------------------------------------------------------------
@@ -345,18 +308,6 @@ def _find_next_k(k: int, upper_half: bool, frac_interval, min_ratio: float = 2.0
     return k, upper_half
 
 
-def iqae(problem: QaeProblem, q: int, seed: int = 0) -> QaeResult:
-    """Iterative QAE wrapped to take a use budget.
-
-    opt_ae picks the (epsilon, alpha) whose worst-case query count matches
-    the budget; the interval iterations then continue past the nominal
-    stopping point until (almost) all uses are exhausted; the estimate is
-    the midpoint of the final amplitude interval.  Falls back to PAM when
-    the budget admits no feasible (epsilon, alpha).
-    """
-    return iqae_from_amplitude(amplitude(problem), q, seed)
-
-
 def _iqae_run(theta: float, q: int, eps_theta: float, alpha: float, rng) -> tuple[float, int]:
     """One IQAE run: (a_hat, uses spent)."""
     rounds_budget = max(1, math.ceil(math.log2(math.pi / (8.0 * eps_theta))))
@@ -412,6 +363,14 @@ def _iqae_run(theta: float, q: int, eps_theta: float, alpha: float, rng) -> tupl
 
 
 def iqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None = None):
+    """Iterative QAE wrapped to take a use budget.
+
+    opt_ae picks the (epsilon, alpha) whose worst-case query count matches
+    the budget; the interval iterations then continue past the nominal
+    stopping point until (almost) all uses are exhausted; the estimate is
+    the midpoint of the final amplitude interval.  Falls back to PAM when
+    the budget admits no feasible (epsilon, alpha).
+    """
     pair = opt_ae(q)
     if pair is None:
         res = pam_from_amplitude(a, q, seed, repeats=repeats)
@@ -562,7 +521,9 @@ def _lcu_posterior_matrices(groups, grid: np.ndarray):
     return np.log(p + eps), np.log(1.0 - p + eps)
 
 
-def lcu_qae(problem: QaeProblem, q: int, p_max_fail: float = 0.5, seed: int = 0) -> QaeResult:
+def lcu_from_amplitude(
+    a: float, q: int, p_max_fail: float = 0.5, seed: int = 0, *, repeats: int | None = None
+):
     """LCU QAE: EIS schedule with per-shot category/beta variation, MMSE
     estimate from a grid posterior over theta.
 
@@ -570,14 +531,10 @@ def lcu_qae(problem: QaeProblem, q: int, p_max_fail: float = 0.5, seed: int = 0)
     preparation failures are Bernoulli(sin^2 beta) draws costing one A use
     each (fail-fast), reported via ``uses_expected_total``.
     """
-    return lcu_from_amplitude(amplitude(problem), q, p_max_fail, seed)
-
-
-def lcu_from_amplitude(
-    a: float, q: int, p_max_fail: float = 0.5, seed: int = 0, *, repeats: int | None = None
-):
     if q < SHOTS_M0:
         raise ValueError(f"budget {q} below one m=0 round ({SHOTS_M0} shots)")
+    if not 0.0 < p_max_fail < 1.0:
+        raise ValueError("p_max_fail must lie in (0, 1)")
     n_runs = _n_runs(repeats)
     groups = _lcu_shot_plan(q, p_max_fail)
     counts = np.array([n for _, n in groups])
@@ -639,9 +596,3 @@ def estimate_amplitude(
     if kind == "LCU" and repeats is None:
         res = dataclasses.replace(res, fallback=True)
     return res
-
-
-def run_qae(problem: QaeProblem, config: QaeConfig) -> QaeResult:
-    return estimate_amplitude(
-        config.kind, amplitude(problem), config.q, config.seed, config.p_max_fail
-    )

@@ -7,12 +7,18 @@ bank circuit A and its Grover operator Q; gate counts are angle
 independent, so a single (A, Q) pair per plan suffices.  A circuit at
 level m is counted as A plus m copies of Q; depth totals follow the
 sequential-execution model (sums across circuits).
+
+A plan counts each of its two circuits once, on first use, and every
+report and the fault-tolerant optimiser read those counts.  The NISQ
+report only rebases to {TK1, CNOT} and the fault-tolerant ones only lower
+to rotations plus Clifford+T.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from scipy.optimize import brentq
 
@@ -21,6 +27,8 @@ from .distributions import DistributionCircuit, rescale
 from . import fourier as fourier_mod
 from .qae import eis_schedule, grover_operator, QaeProblem
 from .rebase import (
+    FtGateCounts,
+    NisqCounts,
     count_ft_content,
     count_nisq,
     lower_to_rotations_clifford_t,
@@ -31,6 +39,9 @@ from .rebase import (
 
 @dataclass
 class QmciPlan:
+    """The counts of A and Q are taken on first use and kept; the
+    circuits must not change after that."""
+
     a_circuit: QuantumCircuit            # representative rotation-bank circuit
     grover: QuantumCircuit               # its Grover operator
     schedules: list                      # per harmonic: list of (m, shots)
@@ -40,12 +51,20 @@ class QmciPlan:
     c_qae: float
     quantity_range: float
 
-    def level_multiset(self):
-        """All (m, shots) pairs across harmonics."""
-        out = []
-        for sched in self.schedules:
-            out.extend(sched)
-        return out
+    @cached_property
+    def nisq_counts(self) -> tuple[NisqCounts, NisqCounts]:
+        """(A, Q) counts after rebasing to {TK1, CNOT}."""
+        return tuple(count_nisq(rebase_tk1_cnot(c)) for c in (self.a_circuit, self.grover))
+
+    @cached_property
+    def lowered(self) -> tuple[QuantumCircuit, QuantumCircuit]:
+        """(A, Q) lowered to rotations plus Clifford+T."""
+        return tuple(lower_to_rotations_clifford_t(c) for c in (self.a_circuit, self.grover))
+
+    @cached_property
+    def ft_counts(self) -> tuple[FtGateCounts, FtGateCounts]:
+        """(A, Q) rotation and exact-T content of the lowered circuits."""
+        return tuple(count_ft_content(c) for c in self.lowered)
 
 
 @dataclass
@@ -151,7 +170,25 @@ def build_plan(
 
 
 # --------------------------------------------------------------------------
-# NISQ mode
+# reports
+
+
+def _tally(plan: QmciPlan, a: dict, q: dict, key: str):
+    """Counts of every scheduled circuit, A plus m copies of Q, from the
+    per-field counts ``a`` and ``q``: the shot-weighted totals, the
+    circuit largest by ``key`` (the first of equals) and the per-level
+    [(counts, shots)] list."""
+    totals = dict.fromkeys(a, 0)
+    largest = None
+    levels = []
+    for m, shots in (level for sched in plan.schedules for level in sched):
+        circ = {f: a[f] + m * q[f] for f in a}
+        levels.append((circ, shots))
+        for f in a:
+            totals[f] += shots * circ[f]
+        if largest is None or circ[key] > largest[key]:
+            largest = circ
+    return totals, largest or dict.fromkeys(a, 0), levels
 
 
 _NISQ_FIELDS = (
@@ -166,41 +203,36 @@ _NISQ_FIELDS = (
 
 def nisq_report(plan: QmciPlan) -> ResourceReport:
     """Totals and largest-circuit counts after rebasing to {TK1, CNOT}."""
-    a_counts = count_nisq(rebase_tk1_cnot(plan.a_circuit))
-    q_counts = count_nisq(rebase_tk1_cnot(plan.grover))
-    totals = {f: 0 for f in _NISQ_FIELDS}
-    largest = None
-    largest_gates = -1
-    for m, shots in plan.level_multiset():
-        circ = {
-            f: getattr(a_counts, f) + m * getattr(q_counts, f) for f in _NISQ_FIELDS
-        }
-        for f in _NISQ_FIELDS:
-            totals[f] += shots * circ[f]
-        if circ["total_gates"] > largest_gates:
-            largest_gates = circ["total_gates"]
-            largest = circ
-    if largest is None:
-        largest = {f: 0 for f in _NISQ_FIELDS}
+    a, q = ({f: getattr(c, f) for f in _NISQ_FIELDS} for c in plan.nisq_counts)
+    totals, largest, _ = _tally(plan, a, q, "total_gates")
     return ResourceReport(
         mode="nisq",
-        n_qubits=max(q_counts.n_qubits, a_counts.n_qubits),
+        n_qubits=max(c.n_qubits for c in plan.nisq_counts),
         totals=totals,
         largest=largest,
     )
 
 
-# --------------------------------------------------------------------------
-# fault-tolerant mode
+def ft_objective(plan: QmciPlan, q: float, eps: float) -> float:
+    """The optimizer's T-count objective at a given (q, eps): q/2 Grover
+    instances, each with its exact T content and 3 log2(1/eps) T gates per
+    rotation."""
+    content = plan.ft_counts[1]
+    return q / 2.0 * (3.0 * content.rotation_count * math.log2(1.0 / eps) + content.t_count_exact)
 
 
-def _constraint_fn(q, eps, a_term, n_r_q, rng3, tight):
+def ft_constraint(plan: QmciPlan, q: float, eps: float, target_mse: float,
+                  tight: bool = False) -> float:
+    """The optimizer's MSE model at a given (q, eps), (c_f c_QAE R)^2 / q^2
+    + eps_tot R^3 / 3, for the caller to compare against ``target_mse``."""
+    n_r_q = plan.ft_counts[1].rotation_count
     if tight:
         rot_total = 0.5 * q * n_r_q
         eps_tot = 2.0 * math.sqrt(rot_total) * eps
     else:
         eps_tot = q * n_r_q * eps
-    return a_term / q**2 + eps_tot / 3.0 * rng3
+    rng = plan.quantity_range
+    return (plan.c_f * plan.c_qae * rng) ** 2 / q**2 + eps_tot / 3.0 * rng**3
 
 
 def ft_optimize(
@@ -208,25 +240,20 @@ def ft_optimize(
     target_mse: float,
     tight: bool = False,
 ) -> FtSolution:
-    """Optimal (q, epsilon) minimising the T count subject to the MSE
-    budget: MSE = (c_f c_QAE R)^2 / q^2 + eps_tot R^3 / 3 with per-rotation
-    synthesis cost 3 log2(1/eps) T gates and q/2 Grover instances.
+    """Optimal (q, epsilon) minimising the T count (``ft_objective``)
+    subject to the MSE budget (``ft_constraint``): MSE = (c_f c_QAE R)^2 /
+    q^2 + eps_tot R^3 / 3 with per-rotation synthesis cost 3 log2(1/eps) T
+    gates (Ross & Selinger, arXiv:1403.2975) and q/2 Grover instances.
 
     ``tight`` swaps the coherent worst-case eps_tot = q n_R eps for the
     quasi-orthogonal model 2 sqrt(q n_R / 2) eps.
     """
     if target_mse <= 0:
         raise ValueError("target_mse must be positive")
-    rng = plan.quantity_range
-    lowered = lower_to_rotations_clifford_t(plan.grover)
-    content = count_ft_content(lowered)
-    n_r_q, n_t_q = content.rotation_count, content.t_count_exact
-    a_term = (plan.c_f * plan.c_qae * rng) ** 2
-    rng3 = rng**3
-    q_min = math.sqrt(a_term / target_mse)
+    q_min = math.sqrt((plan.c_f * plan.c_qae * plan.quantity_range) ** 2 / target_mse)
 
     def q_of_eps(eps):
-        f = lambda q: _constraint_fn(q, eps, a_term, n_r_q, rng3, tight) - target_mse
+        f = lambda q: ft_constraint(plan, q, eps, target_mse, tight) - target_mse
         # f decreases from +inf at q_min then increases; find its minimum
         lo = q_min * (1.0 + 1e-12)
         hi = lo * 2.0
@@ -244,7 +271,7 @@ def ft_optimize(
         q = q_of_eps(eps)
         if q is None:
             return None, None
-        return q / 2.0 * (3.0 * n_r_q * math.log2(1.0 / eps) + n_t_q), q
+        return ft_objective(plan, q, eps), q
 
     # golden-section on log eps over the feasible range
     lo, hi = math.log(1e-18), math.log(0.5)
@@ -272,22 +299,8 @@ def ft_optimize(
         if hi - lo < 1e-10:
             break
     eps_opt = math.exp(0.5 * (lo + hi))
-    obj, q_opt = objective(eps_opt)
+    q_opt = objective(eps_opt)[1]
     return FtSolution(q=max(1, math.ceil(q_opt)), epsilon=eps_opt)
-
-
-def ft_objective(plan: QmciPlan, q: float, eps: float) -> float:
-    """The optimizer's T-count objective at a given (q, eps)."""
-    content = count_ft_content(lower_to_rotations_clifford_t(plan.grover))
-    return q / 2.0 * (3.0 * content.rotation_count * math.log2(1.0 / eps) + content.t_count_exact)
-
-
-def ft_constraint(plan: QmciPlan, q: float, eps: float, target_mse: float,
-                  tight: bool = False) -> float:
-    a_term = (plan.c_f * plan.c_qae * plan.quantity_range) ** 2
-    return _constraint_fn(q, eps, a_term,
-                          count_ft_content(lower_to_rotations_clifford_t(plan.grover)).rotation_count,
-                          plan.quantity_range ** 3, tight)
 
 
 def ft_report(plan: QmciPlan, solution: FtSolution) -> ResourceReport:
@@ -298,35 +311,17 @@ def ft_report(plan: QmciPlan, solution: FtSolution) -> ResourceReport:
     lowered.  Totals and largest circuit follow the NISQ conventions.
     """
     t_rot = max(1, math.ceil(3.0 * math.log2(1.0 / solution.epsilon)))
-    low_a = lower_to_rotations_clifford_t(plan.a_circuit)
-    low_q = lower_to_rotations_clifford_t(plan.grover)
-    ca, cq = count_ft_content(low_a), count_ft_content(low_q)
-    t_a = ca.t_count_exact + t_rot * ca.rotation_count
-    t_q = cq.t_count_exact + t_rot * cq.rotation_count
-    d_a = t_depth(low_a, t_rot)
-    d_q = t_depth(low_q, t_rot)
-    n_qubits = max(low_a.n_qubits, low_q.n_qubits)
-    totals = {"t_count": 0, "t_depth": 0}
-    per_circuit = []
-    largest = None
-    largest_t = -1
-    for m, shots in plan.level_multiset():
-        tc = t_a + m * t_q
-        td = d_a + m * d_q
-        per_circuit.append((tc, td, n_qubits, shots))
-        totals["t_count"] += shots * tc
-        totals["t_depth"] += shots * td
-        if tc > largest_t:
-            largest_t = tc
-            largest = {"t_count": tc, "t_depth": td}
-    if largest is None:
-        largest = {"t_count": 0, "t_depth": 0}
-    filled = FtSolution(
-        q=solution.q,
-        epsilon=solution.epsilon,
+    a, q = (
+        {"t_count": c.t_count_exact + t_rot * c.rotation_count, "t_depth": t_depth(low, t_rot)}
+        for low, c in zip(plan.lowered, plan.ft_counts)
+    )
+    n_qubits = max(low.n_qubits for low in plan.lowered)
+    totals, largest, levels = _tally(plan, a, q, "t_count")
+    filled = replace(
+        solution,
         t_count_total=totals["t_count"],
         t_depth_total=totals["t_depth"],
-        per_circuit=per_circuit,
+        per_circuit=[(c["t_count"], c["t_depth"], n_qubits, shots) for c, shots in levels],
     )
     return ResourceReport(
         mode="ft",

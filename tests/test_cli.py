@@ -288,9 +288,42 @@ def test_unknown_instrument_exits_2(tmp_path, command, capsys):
     {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 99},
     {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "n_resamples": 99},
     {"qae": "PAM", "amplitudes": [0.5, 1.0], "q_list": [100], "repeats": 100},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [0], "repeats": 100},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [1.5], "repeats": 100},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [], "repeats": 100},
+    {"qae": "PAM", "amplitudes": [], "q_list": [100], "repeats": 100},
+    {"qae": "PAM", "amplitudes": ["x"], "q_list": [100], "repeats": 100},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": "x"},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "n_resamples": "x"},
+    {"qae": "LCU", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "p_max_fail": 1.5},
 ])
 def test_qae_sweep_bad_config_exits_2(tmp_path, cfg):
     assert run(["qae-sweep", write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_estimate_bad_p_max_fail_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "c.json", {
+        "seed": 1,
+        "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
+        "quantity": {"quantity": "Mean", "q_total": 1000},
+        "qae": {"qae": "LCU", "p_max_fail": 1.5},
+    })
+    assert run(["estimate", cfg, "--out-dir", tmp_path / "o"]) == 2
+    assert "p_max_fail" in capsys.readouterr().err
+
+
+def test_resources_iqae_exits_2(tmp_path, capsys):
+    # IQAE's schedule depends on its outcomes, so it has no resource plan
+    cfg = write(tmp_path, "c.json", {
+        "mode": "nisq",
+        "distribution": {"source": "gaussian", "n_qubits": 3, "mu": 0.0,
+                          "sigma": 0.1, "x_l": -0.5, "delta": 1 / 7},
+        "quantity": {"quantity": "Mean", "q_total": 500},
+        "qae": {"qae": "IQAE"},
+    })
+    assert run(["resources", cfg, "--out-dir", tmp_path / "o"]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

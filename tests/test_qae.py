@@ -5,16 +5,13 @@ import pytest
 
 from qmci.circuit import QuantumCircuit
 from qmci.qae import (
-    QaeConfig,
     QaeProblem,
     QaeResult,
-    amplitude,
     benchmark_circuit,
     eis_schedule,
     estimate_amplitude,
     grover_operator,
     grover_operator_tilde,
-    iqae,
     iqae_from_amplitude,
     iqae_query_bound,
     iqae_risk,
@@ -22,16 +19,16 @@ from qmci.qae import (
     lcu_likelihood,
     lcu_from_amplitude,
     lcu_prepare,
-    lcu_qae,
-    mlqae,
     mlqae_from_amplitude,
     opt_ae,
-    pam,
     pam_from_amplitude,
-    run_qae,
     schedule_uses,
 )
 from qmci.simulator import marginal_pmf, simulate
+
+
+def exact_amplitude(prob: QaeProblem) -> float:
+    return float(marginal_pmf(simulate(prob.a_circuit), [prob.good_qubit])[1])
 
 
 # ---------------------------------------------------------------- Grover
@@ -69,10 +66,9 @@ def test_grover_single_qubit_problem():
     assert abs(p1 - 1.0) < 1e-12  # sin^2(pi/2)
 
 
-def test_amplitude_memoised():
+def test_benchmark_circuit_amplitude():
     prob = benchmark_circuit(0.4)
-    assert amplitude(prob) == amplitude(prob)
-    assert abs(amplitude(prob) - math.sin(0.4) ** 2) < 1e-12
+    assert abs(exact_amplitude(prob) - math.sin(0.4) ** 2) < 1e-12
 
 
 # ---------------------------------------------------------------- schedule
@@ -112,20 +108,21 @@ def test_shot_cost_is_2m_plus_1():
 
 def test_pam_zero_amplitude():
     a = QuantumCircuit(1)  # identity: P(1) = 0
-    res = pam(QaeProblem(a, 0), 50, seed=1)
+    res = pam_from_amplitude(exact_amplitude(QaeProblem(a, 0)), 50, seed=1)
     assert res.a_hat == 0.0 and res.lam == 1
 
 
 def test_pam_binomial_spread():
     prob = benchmark_circuit(math.pi / 4)  # a = 0.5
-    est = [pam(prob, 100, seed=s).a_hat for s in range(300)]
+    est = [pam_from_amplitude(exact_amplitude(prob), 100, seed=s).a_hat for s in range(300)]
     rmse = float(np.sqrt(np.mean((np.array(est) - 0.5) ** 2)))
     assert abs(rmse - 0.05) < 0.01
 
 
 def test_pam_rmse_bound():
     a = 0.25
-    est = [pam(benchmark_circuit(math.asin(math.sqrt(a))), 10_000, seed=s).a_hat for s in range(500)]
+    a_exact = exact_amplitude(benchmark_circuit(math.asin(math.sqrt(a))))
+    est = [pam_from_amplitude(a_exact, 10_000, seed=s).a_hat for s in range(500)]
     rmse = float(np.sqrt(np.mean((np.array(est) - a) ** 2)))
     assert rmse <= 0.5 / math.sqrt(10_000) * 1.1
 
@@ -135,7 +132,7 @@ def test_pam_rmse_bound():
 
 def test_mlqae_single_use():
     prob = benchmark_circuit(0.6)
-    res = mlqae(prob, 1, seed=0)
+    res = mlqae_from_amplitude(exact_amplitude(prob), 1, seed=0)
     assert res.a_hat in (0.0, 1.0)
     assert res.uses_successful == 1
 
@@ -143,7 +140,7 @@ def test_mlqae_single_use():
 def test_mlqae_convergence_and_budget():
     a = 0.3
     prob = benchmark_circuit(math.asin(math.sqrt(a)))
-    res = mlqae(prob, 2000, seed=5)
+    res = mlqae_from_amplitude(exact_amplitude(prob), 2000, seed=5)
     assert res.uses_successful == 2000
     assert abs(res.a_hat - a) < 0.05
     est = mlqae_from_amplitude(a, 2000, seed=8, repeats=300)
@@ -154,7 +151,7 @@ def test_mlqae_convergence_and_budget():
 def test_mlqae_estimate_in_unit_interval():
     for theta in (0.01, 1.55):
         prob = benchmark_circuit(theta)
-        res = mlqae(prob, 300, seed=2)
+        res = mlqae_from_amplitude(exact_amplitude(prob), 300, seed=2)
         assert 0.0 <= res.a_hat <= 1.0
 
 
@@ -186,14 +183,14 @@ def test_opt_ae_round_trip():
 def test_iqae_uses_budget_and_converges():
     a = 0.3
     prob = benchmark_circuit(math.asin(math.sqrt(a)))
-    res = iqae(prob, 3000, seed=4)
+    res = iqae_from_amplitude(exact_amplitude(prob), 3000, seed=4)
     assert 0.9 * 3000 <= res.uses_successful <= 3000
     assert abs(res.a_hat - a) < 0.05
 
 
 def test_iqae_infeasible_budget_falls_back():
     prob = benchmark_circuit(0.5)
-    res = iqae(prob, 5, seed=0)
+    res = iqae_from_amplitude(exact_amplitude(prob), 5, seed=0)
     assert res.fallback
 
 
@@ -270,7 +267,7 @@ def test_lcu_likelihood_edge_cases():
 def test_lcu_budget_precondition():
     prob = benchmark_circuit(0.4)
     with pytest.raises(ValueError):
-        lcu_qae(prob, 50, 0.5, seed=0)
+        lcu_from_amplitude(exact_amplitude(prob), 50, 0.5, seed=0)
 
 
 def test_lcu_sampled_betas_respect_fail_cap():
@@ -283,13 +280,13 @@ def test_lcu_sampled_betas_respect_fail_cap():
 
 def test_lcu_degenerate_amplitude():
     a = QuantumCircuit(2).append("CNOT", (0, 1))  # a = 0 exactly
-    res = lcu_qae(QaeProblem(a, 1), 200, 0.5, seed=3)
+    res = lcu_from_amplitude(exact_amplitude(QaeProblem(a, 1)), 200, 0.5, seed=3)
     assert res.a_hat < 0.01  # prior-limited, near zero
 
 
 def test_lcu_use_accounting():
     prob = benchmark_circuit(0.7)
-    res = lcu_qae(prob, 500, 0.5, seed=1)
+    res = lcu_from_amplitude(exact_amplitude(prob), 500, 0.5, seed=1)
     assert res.uses_successful == 500
     assert res.uses_expected_total >= 500
 
@@ -332,10 +329,9 @@ def test_lcu_angle_variety_span():
 
 def test_estimates_always_in_unit_interval():
     for theta in (0.02, 0.7, 1.55):
-        prob = benchmark_circuit(theta)
-        for fn in (lambda p: pam(p, 64, 1), lambda p: mlqae(p, 300, 1),
-                   lambda p: lcu_qae(p, 200, 0.5, 1)):
-            res = fn(prob)
+        a = exact_amplitude(benchmark_circuit(theta))
+        for res in (pam_from_amplitude(a, 64, 1), mlqae_from_amplitude(a, 300, 1),
+                    lcu_from_amplitude(a, 200, 0.5, 1)):
             assert 0.0 <= res.a_hat <= 1.0
 
 
@@ -344,13 +340,13 @@ def test_qae_result_validation():
         QaeResult(1.2, 10, 2, 8.02)
 
 
-def test_qae_config_validation():
+def test_estimate_amplitude_validation():
     with pytest.raises(ValueError):
-        QaeConfig(kind="XXX")
+        estimate_amplitude("XXX", 0.3, 1000)
     with pytest.raises(ValueError):
-        QaeConfig(q=0)
+        estimate_amplitude("MLQAE", 0.3, 0)
     with pytest.raises(ValueError):
-        QaeConfig(p_max_fail=1.5)
+        estimate_amplitude("LCU", 0.3, 1000, p_max_fail=1.5)
 
 
 @pytest.mark.parametrize("kind", ["PAM", "MLQAE", "IQAE", "LCU"])
@@ -376,7 +372,7 @@ def test_dispatch_lcu_sub_round_budget_falls_back_to_mlqae():
     assert res.fallback
     assert res.a_hat == mlqae_from_amplitude(0.3, 50, seed=2).a_hat
     assert not estimate_amplitude("LCU", 0.3, 66, seed=2).fallback
-    res = run_qae(benchmark_circuit(0.4), QaeConfig(kind="LCU", q=50, seed=1))
+    res = estimate_amplitude("LCU", exact_amplitude(benchmark_circuit(0.4)), 50, seed=1)
     assert res.fallback and res.uses_successful == 50
 
 
@@ -385,8 +381,8 @@ def test_dispatch_rejects_unknown_kind():
         estimate_amplitude("XXX", 0.3, 100)
 
 
-def test_run_qae_dispatch():
-    prob = benchmark_circuit(0.5)
+def test_estimate_amplitude_dispatch():
+    a = exact_amplitude(benchmark_circuit(0.5))
     for kind in ("PAM", "MLQAE", "IQAE", "LCU"):
-        res = run_qae(prob, QaeConfig(kind=kind, q=200, seed=3))
+        res = estimate_amplitude(kind, a, 200, seed=3)
         assert 0.0 <= res.a_hat <= 1.0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -300,3 +301,29 @@ def test_benchmark_shape_monotonicity():
     assert r8b.totals["total_gates"] > r4b.totals["total_gates"]
     assert r8b.n_qubits > r4b.n_qubits
     assert r4v.totals["total_gates"] > r4b.totals["total_gates"]
+
+
+@pytest.mark.parametrize("mode", ["nisq", "ft", "ft_tight"])
+def test_resources_request_counts_each_circuit_once(tmp_path, monkeypatch, mode):
+    # a one-plan request: nisq rebases A and Q once each and lowers
+    # nothing; ft and ft_tight lower A and Q once each and rebase nothing
+    from qmci import resources
+    from qmci.cli import main
+
+    calls = {"rebase_tk1_cnot": [], "lower_to_rotations_clifford_t": []}
+    for name, seen in calls.items():
+        fn = getattr(resources, name)
+        monkeypatch.setattr(resources, name,
+                            lambda c, fn=fn, seen=seen: seen.append(c.key()) or fn(c))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "mode": mode,
+        "distribution": {"source": "gaussian", "n_qubits": 3, "mu": 0.0,
+                          "sigma": 0.1, "x_l": -0.5, "delta": 1 / 7},
+        "quantity": {"quantity": "Mean", "q_total": 2000},
+    }))
+    assert main(["resources", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    rebased, lowered = calls.values()
+    counted, idle = (rebased, lowered) if mode == "nisq" else (lowered, rebased)
+    assert len(counted) == len(set(counted)) == 2
+    assert idle == []

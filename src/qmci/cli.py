@@ -155,11 +155,12 @@ def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
             raise SchemaError(f"train: unknown norm {norm!r}")
         if not isinstance(n_layers, int) or n_layers < 0:
             raise SchemaError(f"train: n_layers must be an integer >= 0, got {n_layers!r}")
+        seed = _seed(cfg.get("seed", 0), "train")
         x_l, delta = cfg.get("x_l", 0.0), cfg.get("delta", 1.0)
         target = _target_pmf(cfg["target"], cfg["n_qubits"], x_l, delta)
         history: list[float] = []
         dc, cost = dist_mod.train_hwe(
-            target, n_layers, norm, cfg.get("seed", 0), history=history
+            target, n_layers, norm, seed, history=history
         )
         dc = dist_mod.rescale(dc, 0, x_l, delta)
         paths = []
@@ -191,6 +192,16 @@ def _is_int(value, lo: int) -> bool:
     return type(value) is int and value >= lo
 
 
+def _is_finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _seed(value, where: str) -> int:
+    if not _is_int(value, 0):
+        raise SchemaError(f"{where}: seed must be an integer >= 0, got {value!r}")
+    return value
+
+
 def _p_max_fail(value, where: str) -> float:
     if not (type(value) in (int, float) and 0 < value < 1):
         raise SchemaError(f"{where}: p_max_fail must lie in (0, 1), got {value!r}")
@@ -214,32 +225,26 @@ def _quantity_block(qcfg: dict) -> pb_mod.PayoffConfig:
     dimension = qcfg.get("dimension", 0)
     if not isinstance(dimension, int):
         raise SchemaError(f"quantity: dimension must be an integer, got {dimension!r}")
+    if window is not None and not (
+        isinstance(window, list) and len(window) == 2
+        and all(map(_is_finite, window)) and window[0] < window[1]
+    ):
+        raise SchemaError(f"quantity: support_window must be null or two finite numbers "
+                          f"lo < hi, got {window!r}")
+    if x_star is not None and not _is_finite(x_star):
+        raise SchemaError(f"quantity: x_star must be null or a finite number, got {x_star!r}")
     return pb_mod.PayoffConfig(
         qcfg["quantity"], dimension, qcfg.get("condition"),
         x_star=None if x_star is None else float(x_star),
-        support_window=tuple(window) if window else None,
+        support_window=None if window is None else tuple(window),
     )
 
 
 def _quantity_spec(dc, pc: pb_mod.PayoffConfig) -> tuple[fourier_mod.QuantitySpec, int]:
-    """The quantity descriptor of one payoff config, and its dimension."""
-    if pc.quantity not in fourier_mod.QUANTITY_KINDS:
-        raise SchemaError(f"quantity: unknown kind {pc.quantity!r}")
-    if pc.quantity in fourier_mod.INDICATOR_KINDS and pc.condition not in range(len(dc.indicators)):
-        raise SchemaError(f"quantity: {pc.quantity} needs a condition indexing the loader's "
-                          f"{len(dc.indicators)} indicators, got {pc.condition!r}")
-    if pc.quantity == "BernoulliQubit":
-        return fourier_mod.quantity_series("BernoulliQubit", (0.0, 1.0)), 0
-    if not 0 <= pc.dimension < len(dc.dims):
-        raise SchemaError(
-            f"quantity: dimension {pc.dimension} outside the loader's {len(dc.dims)} registers"
-        )
-    d = dc.dims[pc.dimension]
-    qs = fourier_mod.quantity_series(pc.quantity, pc.support_window or (d.x_l, d.x_u))
-    if pc.x_star is not None:
-        qs.x_star = pc.x_star
-    qs.support_window = pc.support_window
-    return qs, pc.dimension
+    try:
+        return pc.quantity_spec(dc)
+    except ValueError as e:
+        raise SchemaError(str(e)) from None
 
 
 def _budget(q_total, target_rmse, where: str) -> tuple[int | None, float | None]:
@@ -284,7 +289,7 @@ def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
         {"seed", "distribution"},
         "estimate",
     )
-    seed = int(cfg["seed"])
+    seed = _seed(cfg["seed"], "estimate")
     qae_kind, p_max_fail = _qae_kind(cfg)
     unit = _load_distribution(cfg["distribution"])
     out: dict = {"qae": qae_kind, "seed": seed}
@@ -402,7 +407,7 @@ def _one_sweep(cfg: dict) -> rob_mod.SweepReport:
         amplitudes,
         q_list,
         repeats=repeats,
-        seed=int(cfg.get("seed", 0)),
+        seed=_seed(cfg.get("seed", 0), "qae-sweep"),
         n_resamples=n_resamples,
         p_max_fail=_p_max_fail(cfg.get("p_max_fail", 0.5), "qae-sweep"),
     )

@@ -69,7 +69,6 @@ class QuantitySpec:
     series: FourierSeries | None
     c_f: float
     x_star: float | None = None
-    support: tuple[float, float] | None = None
     support_window: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -227,7 +226,7 @@ def quantity_series(kind: str, support: tuple[float, float]) -> QuantitySpec:
     if not lo < hi:
         raise ValueError("support must satisfy x_l < x_u")
     if kind == "BernoulliQubit":
-        return QuantitySpec(kind, None, 1.0, support=(lo, hi))
+        return QuantitySpec(kind, None, 1.0)
     if kind in ("Mean", "ConditionalExpectation"):
         series = _mean_series()
     elif kind == "SecondMoment":
@@ -241,7 +240,7 @@ def quantity_series(kind: str, support: tuple[float, float]) -> QuantitySpec:
     x_star = None
     if kind in INDICATOR_KINDS:
         x_star = 0.0 if lo <= 0.0 <= hi else lo
-    return QuantitySpec(kind, series, c_f, x_star=x_star, support=(lo, hi))
+    return QuantitySpec(kind, series, c_f, x_star=x_star)
 
 
 def range_of_quantity(kind: str, support: tuple[float, float]) -> float:

@@ -13,6 +13,18 @@ the original dimensions are untouched.  Grid compatibility rules:
 * Threshold constants snap to the nearest grid point, ties toward +inf;
   the snapped value is recorded on the returned indicator.
 
+Every operation is assembled from a few shared gate recipes:
+
+* ``_cuccaro_add``: Cuccaro ripple-carry accumulate (arXiv:quant-ph/0410184),
+  optionally with every gate controlled on one more qubit (Product);
+* ``_with_carries``: a carry chain on fresh scratch, some gates that read
+  the carries, then the chain reversed;
+* ``_add_const``: bits + constant into a fresh scratch register, recorded
+  for undo (Product operands, comparator offsets);
+* ``_carry_out``: target ^= top carry of a sum (comparators, thresholds);
+* ``_controlled_write``: out ^= a register's code on the result grid under
+  a compare bit (the branches of Max / Min).
+
 Scratch carries and comparison registers are drawn from a reusable
 ancilla pool, uncomputed inside each operation; the arithmetic blocks use
 only X / CNOT / Toffoli / MultiControlledX gates.
@@ -20,12 +32,13 @@ only X / CNOT / Toffoli / MultiControlledX gates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
-import numpy as np
-
-from .circuit import QuantumCircuit
+from .circuit import QuantumCircuit, controlled_x
 from .distributions import Dimension, DistributionCircuit
+from .fourier import INDICATOR_KINDS, QUANTITY_KINDS, QuantitySpec, quantity_series
 from .gates import Gate, gate
 
 # a "bit" in the generic adder: ("q", index), ("nq", index) for a negated
@@ -33,15 +46,8 @@ from .gates import Gate, gate
 Bit = tuple
 
 
-def _is_power_of_two(x: float) -> bool:
-    if x <= 0:
-        return False
-    m, _ = math.frexp(x)
-    return m == 0.5
-
-
 def _check_pow2_delta(d: Dimension, what: str):
-    if not _is_power_of_two(d.delta):
+    if not (d.delta > 0 and math.frexp(d.delta)[0] == 0.5):
         raise ValueError(
             f"{what} needs delta = 2^alpha for an integer alpha, got {d.delta}"
         )
@@ -98,16 +104,28 @@ class PayoffConfig:
     label: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "dimension": self.dimension,
-            "condition": self.condition,
-            "x_star": self.x_star,
-            "support_window": list(self.support_window) if self.support_window else None,
-            "scale": self.scale,
-            "offset": self.offset,
-            "label": self.label,
-        }
+        window = list(self.support_window) if self.support_window else None
+        return {**asdict(self), "support_window": window}
+
+    def quantity_spec(self, dc: DistributionCircuit) -> tuple[QuantitySpec, int]:
+        """The quantity descriptor of this run on ``dc``, and the dimension
+        it integrates; a config that does not fit ``dc`` raises ValueError."""
+        if self.quantity not in QUANTITY_KINDS:
+            raise ValueError(f"quantity: unknown kind {self.quantity!r}")
+        if self.quantity in INDICATOR_KINDS and self.condition not in range(len(dc.indicators)):
+            raise ValueError(f"quantity: {self.quantity} needs a condition indexing the loader's "
+                             f"{len(dc.indicators)} indicators, got {self.condition!r}")
+        if self.quantity == "BernoulliQubit":
+            return quantity_series("BernoulliQubit", (0.0, 1.0)), 0
+        if not 0 <= self.dimension < len(dc.dims):
+            raise ValueError(f"quantity: dimension {self.dimension} outside the loader's "
+                             f"{len(dc.dims)} registers")
+        d = dc.dims[self.dimension]
+        qs = quantity_series(self.quantity, self.support_window or (d.x_l, d.x_u))
+        if self.x_star is not None:
+            qs.x_star = self.x_star
+        qs.support_window = self.support_window
+        return qs, self.dimension
 
 
 @dataclass
@@ -181,23 +199,16 @@ class _Builder:
         self._scratch_sp = need
         return out
 
+    @contextmanager
     def scratch_frame(self):
-        builder = self
-
-        class _Frame:
-            def __enter__(self):
-                self.saved = builder._scratch_sp
-                return self
-
-            def __exit__(self, *exc):
-                builder._scratch_sp = self.saved
-                return False
-
-        return _Frame()
+        saved = self._scratch_sp
+        try:
+            yield
+        finally:
+            self._scratch_sp = saved
 
     def emit(self, gates):
-        for g in gates:
-            self.circuit.add(g)
+        self.circuit.extend(gates)
 
 
 def _lsb_bits(d: Dimension) -> list[int]:
@@ -220,15 +231,7 @@ def _pad(bits: list[Bit], width: int) -> list[Bit]:
 
 
 def _negate(bits: list[Bit]) -> list[Bit]:
-    out = []
-    for kind, v in bits:
-        if kind == "c":
-            out.append(("c", 1 - v))
-        elif kind == "q":
-            out.append(("nq", v))
-        else:
-            out.append(("q", v))
-    return out
+    return [("c", 1 - v) if k == "c" else ("nq" if k == "q" else "q", v) for k, v in bits]
 
 
 def _pair_product_gates(u: Bit, v: Bit, target: int) -> list[Gate]:
@@ -237,30 +240,20 @@ def _pair_product_gates(u: Bit, v: Bit, target: int) -> list[Gate]:
     if ku == "c" and kv == "c":
         return [gate("X", target)] if iu and iv else []
     if ku == "c":
-        u, v = v, u
-        (ku, iu), (kv, iv) = u, v
-    if kv == "c":
+        (ku, iu), (kv, iv) = v, u
+    if kv == "c":  # target ^= u, or nothing
         if iv == 0:
             return []
-        # target ^= u
-        if ku == "q":
-            return [gate("CNOT", (iu, target))]
-        return [gate("X", target), gate("CNOT", (iu, target))]
-    # both are (possibly negated) qubits
-    gates = []
-    neg_u, neg_v = ku == "nq", kv == "nq"
-    if neg_u and neg_v:
-        gates.append(gate("X", target))
-        gates.append(gate("CNOT", (iu, target)))
-        gates.append(gate("CNOT", (iv, target)))
-    elif neg_u:
-        gates.append(gate("CNOT", (iv, target)))
-    elif neg_v:
-        gates.append(gate("CNOT", (iu, target)))
+        return ([] if ku == "q" else [gate("X", target)]) + [gate("CNOT", (iu, target))]
+    # both are (possibly negated) qubits: (1 - u) v = v ^ u v and so on
     if iu == iv:
         raise ValueError("degenerate pair in adder")
-    gates.append(gate("Toffoli", (iu, iv, target)))
-    return gates
+    gates = [gate("X", target)] if ku == kv == "nq" else []
+    if kv == "nq":
+        gates.append(gate("CNOT", (iu, target)))
+    if ku == "nq":
+        gates.append(gate("CNOT", (iv, target)))
+    return gates + [gate("Toffoli", (iu, iv, target))]
 
 
 def _xor_gates(b: Bit, target: int, control: int | None = None) -> list[Gate]:
@@ -272,11 +265,9 @@ def _xor_gates(b: Bit, target: int, control: int | None = None) -> list[Gate]:
         if control is None:
             return [gate("X", target)]
         return [gate("CNOT", (control, target))]
-    pre = [gate("X", v)] if kind == "nq" else []
-    post = [gate("X", v)] if kind == "nq" else []
-    if control is None:
-        return pre + [gate("CNOT", (v, target))] + post
-    return pre + [gate("Toffoli", (control, v, target))] + post
+    flip = [gate("X", v)] if kind == "nq" else []
+    core = gate("CNOT", (v, target)) if control is None else gate("Toffoli", (control, v, target))
+    return flip + [core] + flip
 
 
 def _carry_chain(xs: list[Bit], ys: list[Bit], carry_qubits: list[int], carry_in: int):
@@ -310,6 +301,37 @@ def _sum_write_gates(xs, ys, carry_qubits, carry_in, targets, control=None):
     return gates
 
 
+def _with_carries(b: _Builder, xs, ys, carry_in: int, middle) -> list[Gate]:
+    """The carry chain of xs + ys + carry_in on fresh scratch, the gates
+    ``middle(carries)`` returns, then the chain reversed (carries back to 0)."""
+    with b.scratch_frame():
+        carries = b.new_scratch(len(xs))
+        chain = _carry_chain(xs, ys, carries, carry_in)
+        return chain + middle(carries) + chain[::-1]
+
+
+def _carry_out(b: _Builder, xs, ys, carry_in: int, target: int) -> None:
+    """target ^= the carry out of xs + ys + carry_in."""
+    b.emit(_with_carries(b, xs, ys, carry_in,
+                         lambda carries: [gate("CNOT", (carries[-1], target))]))
+
+
+def _add_const(b: _Builder, bits, const: int, width: int, undo: list) -> list[Bit]:
+    """``bits`` + ``const`` as a ``width``-bit operand: the bits themselves
+    when const is 0, else a fresh scratch register holding the sum, whose
+    gates are emitted and appended to ``undo``."""
+    xs = _pad(bits, width)
+    if const == 0:
+        return xs
+    ys = _const_bits(const, width)
+    reg = b.new_scratch(width)
+    gates = _with_carries(b, xs, ys, 0,
+                          lambda carries: _sum_write_gates(xs, ys, carries, 0, reg))
+    b.emit(gates)
+    undo.extend(gates)
+    return [("q", q) for q in reg]
+
+
 # Cuccaro ripple adder pieces (in-place accumulate)
 
 
@@ -321,9 +343,11 @@ def _uma(c: int, b: int, a: int) -> list[Gate]:
     return [gate("Toffoli", (c, b, a)), gate("CNOT", (a, c)), gate("CNOT", (c, b))]
 
 
-def _cuccaro_add(addend: list[int], accum: list[int], carry_out: int, c0: int):
+def _cuccaro_add(addend: list[int], accum: list[int], carry_out: int, c0: int,
+                 control: int | None = None):
     """accum += addend (equal lengths), carry into ``carry_out``; the
-    addend, c0 and any padding return to their input state."""
+    addend, c0 and any padding return to their input state.  With a
+    ``control`` every gate gains it as one more control."""
     n = len(addend)
     assert len(accum) == n
     gates: list[Gate] = []
@@ -333,19 +357,19 @@ def _cuccaro_add(addend: list[int], accum: list[int], carry_out: int, c0: int):
     gates.append(gate("CNOT", (addend[n - 1], carry_out)))
     for p in reversed(range(n)):
         gates += _uma(chain[p], accum[p], addend[p])
-    return gates
+    if control is None:
+        return gates
+    return [controlled_x((control, *g.controls), g.target) for g in gates]
 
 
 # --------------------------------------------------------------------------
 # arithmetic operations
 
 
-def _copy_register(b: _Builder, src: Dimension, x_l: float, delta: float, name=""):
+def _copy_register(b: _Builder, src: Dimension, x_l: float, delta: float):
     out = b.new_qubits(src.n)
-    for s, t in zip(src.qubits, out):
-        b.emit([gate("CNOT", (s, t))])
+    b.emit([gate("CNOT", (s, t)) for s, t in zip(src.qubits, out)])
     b.dims.append(Dimension(tuple(out), x_l, delta))
-    return len(b.dims) - 1
 
 
 def _apply_sum(b: _Builder, i: int, j: int) -> None:
@@ -358,23 +382,14 @@ def _apply_sum(b: _Builder, i: int, j: int) -> None:
     w = max(di.n + ti, dj.n + tj) + 1
     out = b.new_qubits(w)  # out[p] is bit p (LSB first)
     # copy the i operand at its offset
-    for p, q in enumerate(_lsb_bits(di)):
-        b.emit([gate("CNOT", (q, out[ti + p]))])
+    b.emit([gate("CNOT", (q, out[ti + p])) for p, q in enumerate(_lsb_bits(di))])
     # Cuccaro-add the j operand into out[tj .. w-2], carry into out[w-1]
-    length = w - 1 - tj
-    pad = length - dj.n
+    pad = w - 1 - tj - dj.n
     with b.scratch_frame():
         anc = b.new_scratch(1 + max(pad, 0))
-        c0 = anc[0]
         addend = _lsb_bits(dj) + anc[1 : 1 + pad]
-        accum = out[tj : w - 1]
-        b.emit(_cuccaro_add(addend, accum, out[w - 1], c0))
+        b.emit(_cuccaro_add(addend, out[tj : w - 1], out[w - 1], anc[0]))
     b.dims.append(Dimension(tuple(reversed(out)), di.x_l + dj.x_l, delta))
-
-
-def _apply_sum_const(b: _Builder, i: int, c: float) -> None:
-    d = b.dims[i]
-    _copy_register(b, d, d.x_l + c, d.delta)
 
 
 def _offset_code(d: Dimension) -> int:
@@ -394,59 +409,20 @@ def _apply_product(b: _Builder, i: int, j: int) -> None:
     oi, oj = _offset_code(di), _offset_code(dj)
     wi = max((oi + 2**di.n - 1).bit_length(), 1)
     wj = max((oj + 2**dj.n - 1).bit_length(), 1)
-    w = wi + wj
-    out = b.new_qubits(w)
+    out = b.new_qubits(wi + wj)
 
     with b.scratch_frame():
         undo: list[Gate] = []
-
-        def operand(d: Dimension, o: int, width: int):
-            bits = [("q", q) for q in _lsb_bits(d)]
-            if o == 0:
-                return bits  # width == d.n exactly when o == 0
-            xs = _pad(bits, width)
-            ys = _const_bits(o, width)
-            reg = b.new_scratch(width)
-            with b.scratch_frame():
-                carries = b.new_scratch(width)
-                chain = _carry_chain(xs, ys, carries, 0)
-                writes = _sum_write_gates(xs, ys, carries, 0, reg)
-                gates = chain + writes + [g for g in reversed(chain)]
-            b.emit(gates)
-            undo.extend(gates)
-            return [("q", q) for q in reg]
-
-        u_bits = operand(di, oi, wi)
-        v_bits = operand(dj, oj, wj)
+        # the operand codes with their offsets; width == d.n when o == 0
+        u_bits = _add_const(b, [("q", q) for q in _lsb_bits(di)], oi, wi, undo)
+        v_bits = _add_const(b, [("q", q) for q in _lsb_bits(dj)], oj, wj, undo)
         v_q = [q for (_, q) in v_bits]
         c0 = b.new_scratch(1)[0]
         # schoolbook: controlled-add (v << p) into out for every bit p of u
         for p, (_, uq) in enumerate(u_bits):
-            accum = out[p : p + wj]
-            b.emit(_controlled_cuccaro(v_q, accum, out[p + wj], c0, uq))
-        b.emit([g for g in reversed(undo)])
+            b.emit(_cuccaro_add(v_q, out[p : p + wj], out[p + wj], c0, control=uq))
+        b.emit(undo[::-1])
     b.dims.append(Dimension(tuple(reversed(out)), 0.0, di.delta * dj.delta))
-
-
-def _controlled_cuccaro(addend, accum, carry_out, c0, control):
-    """accum += addend when ``control`` = 1 (every gate gains the control)."""
-    def ctl(g: Gate) -> Gate:
-        if g.kind == "CNOT":
-            return gate("Toffoli", (control, *g.qubits))
-        if g.kind == "Toffoli":
-            return Gate("MultiControlledX", (), (control, *g.qubits))
-        raise ValueError(g.kind)
-
-    n = len(addend)
-    gates: list[Gate] = []
-    chain = [c0] + list(addend)
-    for p in range(n):
-        gates += [ctl(g) for g in _maj(chain[p], accum[p], addend[p])]
-    if carry_out is not None:
-        gates.append(ctl(gate("CNOT", (addend[n - 1], carry_out))))
-    for p in reversed(range(n)):
-        gates += [ctl(g) for g in _uma(chain[p], accum[p], addend[p])]
-    return gates
 
 
 def _comparator_gates(b: _Builder, di: Dimension, dj: Dimension, target: int):
@@ -469,31 +445,10 @@ def _comparator_gates(b: _Builder, di: Dimension, dj: Dimension, target: int):
 
     with b.scratch_frame():
         undo: list[Gate] = []
-
-        def plus_const(bits, const):
-            if const == 0:
-                return _pad(bits, width)
-            xs = _pad(bits, width)
-            ys = _const_bits(const, width)
-            reg = b.new_scratch(width)
-            with b.scratch_frame():
-                carries = b.new_scratch(width)
-                chain = _carry_chain(xs, ys, carries, 0)
-                writes = _sum_write_gates(xs, ys, carries, 0, reg)
-                gates = chain + writes + [g for g in reversed(chain)]
-            b.emit(gates)
-            undo.extend(gates)
-            return [("q", q) for q in reg]
-
-        u = plus_const(ki, dm)
-        v = plus_const(kj, dp)
-        with b.scratch_frame():
-            carries = b.new_scratch(width)
-            chain = _carry_chain(u, _negate(v), carries, 1)
-            b.emit(chain)
-            b.emit([gate("CNOT", (carries[-1], target))])
-            b.emit([g for g in reversed(chain)])
-        b.emit([g for g in reversed(undo)])
+        u = _add_const(b, ki, dm, width, undo)
+        v = _add_const(b, kj, dp, width, undo)
+        _carry_out(b, u, _negate(v), 1, target)  # u - v >= 0
+        b.emit(undo[::-1])
 
 
 def _threshold_gates(b: _Builder, d: Dimension, code_c: int, target: int):
@@ -504,13 +459,7 @@ def _threshold_gates(b: _Builder, d: Dimension, code_c: int, target: int):
     if code_c > 2**d.n - 1:
         return
     bits = [("q", q) for q in _lsb_bits(d)]
-    comp = _const_bits(2**d.n - code_c, d.n)
-    with b.scratch_frame():
-        carries = b.new_scratch(d.n)
-        chain = _carry_chain(bits, comp, carries, 0)
-        b.emit(chain)
-        b.emit([gate("CNOT", (carries[-1], target))])
-        b.emit([g for g in reversed(chain)])
+    _carry_out(b, bits, _const_bits(2**d.n - code_c, d.n), 0, target)
 
 
 def snap_to_grid(d: Dimension, value: float) -> tuple[int, float]:
@@ -519,92 +468,64 @@ def snap_to_grid(d: Dimension, value: float) -> tuple[int, float]:
     return code, d.x_l + code * d.delta
 
 
-def _apply_max_min(b: _Builder, i: int, j: int, take_max: bool) -> None:
-    di, dj = b.dims[i], b.dims[j]
+def _controlled_write(b: _Builder, d: Dimension, delta: float, lo: float,
+                      out: list[int], ind: int, when_one: bool) -> None:
+    """out ^= d's code on the grid (lo, delta) when ``ind`` == when_one.  The
+    sum always fits len(out) bits when the branch fires, so only the low
+    positions are written (carries run over the full width)."""
+    const = round((d.x_l - lo) / delta)
+    aligned = _aligned_bits(d, delta)
+    full = max(len(aligned), len(out))
+    xs = _pad(aligned, full)
+    ys = _const_bits(const % (2**full), full)
+    flip = [] if when_one else [gate("X", ind)]
+    b.emit(flip + _with_carries(
+        b, xs, ys, 0, lambda carries: _sum_write_gates(xs, ys, carries, 0, out, control=ind)
+    ) + flip)
+
+
+def _apply_max_min(b: _Builder, spec: BinaryOpSpec) -> None:
+    """Max / Min of two registers, or of a register and a constant snapped
+    and clamped onto its grid.  A compare bit (a threshold for the constant)
+    picks which operand's code is written into the new register."""
+    take_max = spec.op == "Max"
+    pick = max if take_max else min
+    di = b.dims[spec.left]
     _check_pow2_delta(di, "Max/Min")
-    _check_pow2_delta(dj, "Max/Min")
-    delta = min(di.delta, dj.delta)
-    off = (di.x_l - dj.x_l) / delta
-    if abs(off - round(off)) > 1e-9:
-        raise ValueError("Max/Min operands must share a grid (offset misaligned)")
-    if take_max:
-        lo_new = max(di.x_l, dj.x_l)
-        hi_new = max(di.x_u, dj.x_u)
+    if spec.right is None:
+        code_c, _ = snap_to_grid(di, spec.constant)
+        code_c = min(max(code_c, 0), 2**di.n - 1)
+        c_snap = di.x_l + code_c * di.delta
+        delta = di.delta
+        lo_new, hi_new = pick(di.x_l, c_snap), pick(di.x_u, c_snap)
+        compare = partial(_threshold_gates, b, di, code_c)
     else:
-        lo_new = min(di.x_l, dj.x_l)
-        hi_new = min(di.x_u, dj.x_u)
+        dj = b.dims[spec.right]
+        _check_pow2_delta(dj, "Max/Min")
+        delta = min(di.delta, dj.delta)
+        off = (di.x_l - dj.x_l) / delta
+        if abs(off - round(off)) > 1e-9:
+            raise ValueError("Max/Min operands must share a grid (offset misaligned)")
+        lo_new, hi_new = pick(di.x_l, dj.x_l), pick(di.x_u, dj.x_u)
+        compare = partial(_comparator_gates, b, di, dj)
     n_codes = round((hi_new - lo_new) / delta) + 1
     w = max((n_codes - 1).bit_length(), 1)
     out = b.new_qubits(w)
 
     with b.scratch_frame():
         ind = b.new_scratch(1)[0]
-        _comparator_gates(b, di, dj, ind)  # ind = [x_i >= x_j]
-
-        def write_branch(d: Dimension, when_one: bool):
-            # out ^= (aligned code + const) when ind == when_one; the sum
-            # always fits w bits when the branch fires, so only the low w
-            # positions are written (carries run over the full width)
-            const = round((d.x_l - lo_new) / delta)
-            aligned = _aligned_bits(d, delta)
-            full = max(len(aligned), w)
-            xs = _pad(aligned, full)
-            ys = _const_bits(const % (2**full), full)
-            with b.scratch_frame():
-                carries = b.new_scratch(full)
-                pre = [] if when_one else [gate("X", ind)]
-                b.emit(pre)
-                chain = _carry_chain(xs, ys, carries, 0)
-                b.emit(chain)
-                b.emit(_sum_write_gates(xs, ys, carries, 0, out, control=ind))
-                b.emit([g for g in reversed(chain)])
-                b.emit(pre)
-
-        write_branch(di, take_max)       # max: copy i when x_i >= x_j
-        write_branch(dj, not take_max)   # max: copy j when x_i < x_j
-        _comparator_gates(b, di, dj, ind)  # uncompute the compare bit
+        compare(ind)  # ind = [x_i >= x_j]
+        # max: write i when x_i >= x_j, the other operand when x_i < x_j
+        _controlled_write(b, di, delta, lo_new, out, ind, take_max)
+        if spec.right is None:  # the other operand is the constant's code
+            cc = round((c_snap - lo_new) / delta)
+            flip = [gate("X", ind)] if take_max else []
+            b.emit(flip + [gate("CNOT", (ind, out[p])) for p in range(w) if (cc >> p) & 1]
+                   + flip)
+        else:
+            _controlled_write(b, dj, delta, lo_new, out, ind, not take_max)
+        compare(ind)  # uncompute the compare bit
     b.dims.append(Dimension(tuple(reversed(out)), lo_new, delta))
-
-
-def _apply_max_min_const(b: _Builder, i: int, c: float, take_max: bool) -> None:
-    d = b.dims[i]
-    _check_pow2_delta(d, "Max/Min")
-    code_c, c_snap = snap_to_grid(d, c)
-    code_c = min(max(code_c, 0), 2**d.n - 1)
-    c_snap = d.x_l + code_c * d.delta
-    if take_max:
-        lo_new, hi_new = max(d.x_l, c_snap), max(d.x_u, c_snap)
-    else:
-        lo_new, hi_new = min(d.x_l, c_snap), min(d.x_u, c_snap)
-    n_codes = round((hi_new - lo_new) / d.delta) + 1
-    w = max((n_codes - 1).bit_length(), 1)
-    out = b.new_qubits(w)
-    with b.scratch_frame():
-        ind = b.new_scratch(1)[0]
-        _threshold_gates(b, d, code_c, ind)  # ind = [x >= c]
-        reg_const = round((d.x_l - lo_new) / d.delta)
-        full = max(d.n, w)
-        xs = _pad([("q", q) for q in _lsb_bits(d)], full)
-        ys = _const_bits(reg_const % (2**full), full)
-        with b.scratch_frame():
-            carries = b.new_scratch(full)
-            pre = [] if take_max else [gate("X", ind)]
-            b.emit(pre)
-            chain = _carry_chain(xs, ys, carries, 0)
-            b.emit(chain)
-            b.emit(_sum_write_gates(xs, ys, carries, 0, out, control=ind))
-            b.emit([g for g in reversed(chain)])
-            b.emit(pre)
-        # other branch: write the snapped constant's code
-        cc = round((c_snap - lo_new) / d.delta)
-        flip = [gate("X", ind)] if take_max else []
-        b.emit(flip)
-        for p in range(w):
-            if (cc >> p) & 1:
-                b.emit([gate("CNOT", (ind, out[p]))])
-        b.emit(flip)
-        _threshold_gates(b, d, code_c, ind)
-    b.dims.append(Dimension(tuple(reversed(out)), lo_new, d.delta))
 
 
 # --------------------------------------------------------------------------
@@ -619,25 +540,17 @@ def apply_binary_op(dc: DistributionCircuit, spec: BinaryOpSpec) -> Distribution
         raise ValueError(f"no dimension {spec.left}")
     if spec.right is not None and (spec.right < 0 or spec.right >= n_dims):
         raise ValueError(f"no dimension {spec.right}")
-    if spec.op == "Sum":
-        if spec.right is not None:
-            _apply_sum(b, spec.left, spec.right)
-        else:
-            _apply_sum_const(b, spec.left, spec.constant)
-    elif spec.op == "Product":
-        if spec.right is not None:
-            _apply_product(b, spec.left, spec.right)
-        else:
-            if spec.constant <= 0:
-                raise ValueError("constant product needs a positive constant")
-            d = b.dims[spec.left]
-            _copy_register(b, d, d.x_l * spec.constant, d.delta * spec.constant)
+    d, c = b.dims[spec.left], spec.constant
+    if spec.op in ("Max", "Min"):
+        _apply_max_min(b, spec)
+    elif spec.right is not None:
+        (_apply_sum if spec.op == "Sum" else _apply_product)(b, spec.left, spec.right)
+    elif spec.op == "Sum":  # a constant only moves the grid of a copy
+        _copy_register(b, d, d.x_l + c, d.delta)
+    elif c <= 0:
+        raise ValueError("constant product needs a positive constant")
     else:
-        take_max = spec.op == "Max"
-        if spec.right is not None:
-            _apply_max_min(b, spec.left, spec.right, take_max)
-        else:
-            _apply_max_min_const(b, spec.left, spec.constant, take_max)
+        _copy_register(b, d, d.x_l * c, d.delta * c)
     return b.result()
 
 
@@ -688,22 +601,9 @@ def add_esop(dc: DistributionCircuit, products) -> DistributionCircuit:
             literals[ind_idx] = bool(polarity)
         if contradictory:
             continue
-        controls, flips = [], []
-        for ind_idx, polarity in literals.items():
-            q = b.indicators[ind_idx]
-            controls.append(q)
-            if not polarity:
-                flips.append(gate("X", q))
-        b.emit(flips)
-        if len(controls) == 0:
-            b.emit([gate("X", target)])
-        elif len(controls) == 1:
-            b.emit([gate("CNOT", (controls[0], target))])
-        elif len(controls) == 2:
-            b.emit([gate("Toffoli", (*controls, target))])
-        else:
-            b.emit([Gate("MultiControlledX", (), (*controls, target))])
-        b.emit(flips)
+        controls = [b.indicators[i] for i in literals]
+        flips = [gate("X", b.indicators[i]) for i, pol in literals.items() if not pol]
+        b.emit(flips + [controlled_x(controls, target)] + flips)
     b.indicators.append(target)
     return b.result()
 
@@ -779,11 +679,10 @@ def _compose_slices(unit: DistributionCircuit, n_slices: int, sigma_slice: float
     x_l = round(raw_x_l / delta) * delta
     n = unit.circuit.n_qubits
     qc = QuantumCircuit(n * n_slices, f"{unit.circuit.name}_x{n_slices}")
-    dims = []
     for s in range(n_slices):
-        for g in unit.circuit.gates:
-            qc.add(Gate(g.kind, g.params, tuple(q + s * n for q in g.qubits)))
-        dims.append(Dimension(tuple(q + s * n for q in base_dim.qubits), x_l, delta))
+        qc = qc.compose(unit.circuit, offset=s * n)
+    dims = [Dimension(tuple(q + s * n for q in base_dim.qubits), x_l, delta)
+            for s in range(n_slices)]
     return DistributionCircuit(qc, dims)
 
 
@@ -804,37 +703,50 @@ def build_instrument(
     dc = _compose_slices(unit, spec.n_slices, sigma_slice)
     dc = build_brownian(dc, geometric=not ret_space)
     path = list(range(spec.n_slices, 2 * spec.n_slices))
-
-    def window_for(dim_idx: int):
-        # apply the function only to the +-5 sigma part of the support
-        # (in return space the path value is N(0, total_volatility^2))
-        if not ret_space:
-            return None
-        d = nonlocal_dc[0].dims[dim_idx]
-        wide = 5.0 * spec.total_volatility
-        lo, hi = max(d.x_l, -wide), min(d.x_u, wide)
-        return (lo, hi) if lo < hi else None
+    quantity = "ConditionalExponential" if ret_space else "ConditionalExpectation"
+    thresholds: dict[tuple, int] = {}  # (dim, kind, code) -> indicator index
+    configs: list[PayoffConfig] = []
 
     def level(x: float) -> float:
         return math.log(x) if ret_space else x
 
-    quantity = "ConditionalExponential" if ret_space else "ConditionalExpectation"
-
-    thresholds: dict[tuple, int] = {}  # (dim, kind, code) -> indicator index
-
     def threshold(dim: int, value: float, lower: bool) -> int:
+        nonlocal dc
         kind = "ThresholdLower" if lower else "ThresholdUpper"
-        code, _ = snap_to_grid(nonlocal_dc[0].dims[dim], value)
+        code, _ = snap_to_grid(dc.dims[dim], value)
         key = (dim, kind, code)
         if key not in thresholds:
-            nonlocal_dc[0] = add_indicator(
-                nonlocal_dc[0], IndicatorSpec(kind, dim=dim, value=value)
-            )
-            thresholds[key] = len(nonlocal_dc[0].indicators) - 1
+            dc = add_indicator(dc, IndicatorSpec(kind, dim=dim, value=value))
+            thresholds[key] = len(dc.indicators) - 1
         return thresholds[key]
 
-    nonlocal_dc = [dc]
-    configs: list[PayoffConfig] = []
+    def all_of(inds: list[int]) -> int:
+        """The index of a new indicator holding the AND of ``inds``."""
+        nonlocal dc
+        dc = add_esop(dc, [[(i, True) for i in inds]])
+        return len(dc.indicators) - 1
+
+    def leg(inds, pay_dim: int, strike: float, sign: float, payout: float, labels):
+        """One run conditioned on the AND of ``inds``: ``payout`` on the
+        event (binary), or sign * (S - K) there (value), with the function
+        applied only to the +-5 sigma part of the support in return space
+        (where the path value is N(0, total_volatility^2))."""
+        cond = all_of(inds)
+        if spec.payoff_kind == "binary":
+            configs.append(PayoffConfig("BernoulliQubit", None, cond, scale=payout,
+                                        label=labels[1]))
+            return
+        d = dc.dims[pay_dim]
+        _, strike_snap = snap_to_grid(d, strike)
+        window = None
+        if ret_space:
+            wide = 5.0 * spec.total_volatility
+            lo, hi = max(d.x_l, -wide), min(d.x_u, wide)
+            window = (lo, hi) if lo < hi else None
+        k_price = math.exp(strike_snap) if ret_space else strike_snap
+        configs.append(PayoffConfig(quantity, pay_dim, cond, x_star=strike_snap,
+                                    support_window=window, scale=sign,
+                                    offset=-sign * k_price, label=labels[0]))
 
     if spec.instrument in ("Barrier", "Lookback"):
         strike = level(spec.strike_ratio)
@@ -851,34 +763,16 @@ def build_instrument(
             while len(cur) > 1:
                 nxt = []
                 for k in range(0, len(cur) - 1, 2):
-                    nonlocal_dc[0] = apply_binary_op(
-                        nonlocal_dc[0], BinaryOpSpec("Max", cur[k], cur[k + 1])
-                    )
-                    nxt.append(len(nonlocal_dc[0].dims) - 1)
-                if len(cur) % 2:
-                    nxt.append(cur[-1])
-                cur = nxt
+                    dc = apply_binary_op(dc, BinaryOpSpec("Max", cur[k], cur[k + 1]))
+                    nxt.append(len(dc.dims) - 1)
+                cur = nxt + cur[2 * len(nxt):]  # an odd one out moves up a round
             pay_dim = cur[0]
             inds = []
         inds.append(threshold(pay_dim, strike, lower=True))
-        nonlocal_dc[0] = add_esop(nonlocal_dc[0], [[(i, True) for i in inds]])
-        cond = len(nonlocal_dc[0].indicators) - 1
-        d = nonlocal_dc[0].dims[pay_dim]
-        _, strike_snap = snap_to_grid(d, strike)
         sign = 1.0 if spec.call_or_put == "call" else -1.0
-        if spec.payoff_kind == "binary":
-            configs.append(
-                PayoffConfig("BernoulliQubit", None, cond,
-                             scale=spec.binary_payout, label="binary payoff")
-            )
-        else:
-            k_price = math.exp(strike_snap) if ret_space else strike_snap
-            configs.append(
-                PayoffConfig(quantity, pay_dim, cond, x_star=strike_snap,
-                             support_window=window_for(pay_dim),
-                             scale=sign, offset=-sign * k_price, label="value payoff")
-            )
-        return nonlocal_dc[0], configs
+        leg(inds, pay_dim, strike, sign, spec.binary_payout,
+            ("value payoff", "binary payoff"))
+        return dc, configs
 
     # autocallable: binary call legs plus a knock-out put leg
     if not spec.autocall_schedule:
@@ -887,40 +781,17 @@ def build_instrument(
     for idx, (t_i, k_i, b_i) in enumerate(sched):
         if not 1 <= t_i <= spec.n_slices:
             raise ValueError(f"schedule slice {t_i} outside 1..{spec.n_slices}")
-        term = []
-        for t_j, k_j, _ in sched[:idx]:
-            term.append((threshold(path[t_j - 1], level(k_j), lower=False), True))
-        term.append((threshold(path[t_i - 1], level(k_i), lower=True), True))
-        nonlocal_dc[0] = add_esop(nonlocal_dc[0], [term])
-        cond = len(nonlocal_dc[0].indicators) - 1
-        configs.append(
-            PayoffConfig("BernoulliQubit", None, cond, scale=b_i,
-                         label=f"autocall leg {idx + 1} (slice {t_i})")
-        )
+        inds = [threshold(path[t_j - 1], level(k_j), lower=False) for t_j, k_j, _ in sched[:idx]]
+        inds.append(threshold(path[t_i - 1], level(k_i), lower=True))
+        configs.append(PayoffConfig("BernoulliQubit", None, all_of(inds), scale=b_i,
+                                    label=f"autocall leg {idx + 1} (slice {t_i})"))
     # short knock-out put leg: all calls fail, barrier never breached,
     # final price below the put strike
     put_barrier = spec.barrier_ratio if spec.barrier_ratio is not None else 0.9
-    put_strike = spec.strike_ratio
-    term = []
-    for t_j, k_j, _ in sched:
-        term.append((threshold(path[t_j - 1], level(k_j), lower=False), True))
-    for p in path:
-        term.append((threshold(p, level(put_barrier), lower=True), True))
-    term.append((threshold(path[-1], level(put_strike), lower=False), True))
-    nonlocal_dc[0] = add_esop(nonlocal_dc[0], [term])
-    cond = len(nonlocal_dc[0].indicators) - 1
-    d = nonlocal_dc[0].dims[path[-1]]
-    _, strike_snap = snap_to_grid(d, level(put_strike))
-    k_price = math.exp(strike_snap) if ret_space else strike_snap
-    if spec.payoff_kind == "binary":
-        configs.append(
-            PayoffConfig("BernoulliQubit", None, cond, scale=-spec.binary_payout,
-                         label="knock-out put leg (binary)")
-        )
-    else:
-        configs.append(
-            PayoffConfig(quantity, path[-1], cond, x_star=strike_snap,
-                         support_window=window_for(path[-1]),
-                         scale=1.0, offset=-k_price, label="knock-out put leg")
-        )
-    return nonlocal_dc[0], configs
+    put_strike = level(spec.strike_ratio)
+    inds = [threshold(path[t_j - 1], level(k_j), lower=False) for t_j, k_j, _ in sched]
+    inds += [threshold(p, level(put_barrier), lower=True) for p in path]
+    inds.append(threshold(path[-1], put_strike, lower=False))
+    leg(inds, path[-1], put_strike, 1.0, -spec.binary_payout,
+        ("knock-out put leg", "knock-out put leg (binary)"))
+    return dc, configs

@@ -366,14 +366,7 @@ def _benchmark_report(instrument, n_slices, payoff, mode="nisq"):
     )
     dc, cfgs = build_instrument(unit, spec)
     cfg = cfgs[0]
-    if cfg.quantity == "BernoulliQubit":
-        qs, dim = quantity_series("BernoulliQubit", (0.0, 1.0)), 0
-    else:
-        pay = dc.dims[cfg.dimension]
-        qs = quantity_series(cfg.quantity, cfg.support_window or (pay.x_l, pay.x_u))
-        qs.support_window = cfg.support_window
-        qs.x_star = cfg.x_star
-        dim = cfg.dimension
+    qs, dim = cfg.quantity_spec(dc)
     plan = build_plan(dc, qs, dim, "MLQAE", target_rmse=spec.target_rmse,
                       condition=cfg.condition)
     if mode == "nisq":

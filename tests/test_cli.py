@@ -242,7 +242,8 @@ def test_non_integer_thread_env_exits_2(tmp_path, monkeypatch):
     assert run(["qae-sweep", cfg, "--out-dir", tmp_path / "o"]) == 2
 
 
-@pytest.mark.parametrize("bad", [{"norm": "L3"}, {"n_layers": -1}])
+@pytest.mark.parametrize("bad", [{"norm": "L3"}, {"n_layers": -1}, {"seed": -1},
+                                 {"seed": "x"}, {"seed": 1.5}, {"seed": True}])
 def test_dist_train_bad_config_exits_2(tmp_path, bad):
     cfg = write(tmp_path, "c.json", {
         "target": {"pdf": "gaussian"}, "n_qubits": 2, "n_layers": 1, **bad,
@@ -296,6 +297,10 @@ def test_unknown_instrument_exits_2(tmp_path, command, capsys):
     {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": "x"},
     {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "n_resamples": "x"},
     {"qae": "LCU", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "p_max_fail": 1.5},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "seed": "x"},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "seed": -1},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "seed": 2.5},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "seed": True},
 ])
 def test_qae_sweep_bad_config_exits_2(tmp_path, cfg):
     assert run(["qae-sweep", write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
@@ -311,6 +316,47 @@ def test_estimate_bad_p_max_fail_exits_2(tmp_path, capsys):
     })
     assert run(["estimate", cfg, "--out-dir", tmp_path / "o"]) == 2
     assert "p_max_fail" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["x", "7", 1.5, True, -1])
+def test_estimate_bad_seed_exits_2(tmp_path, seed, capsys):
+    cfg = write(tmp_path, "c.json", {
+        "seed": seed,
+        "distribution": {"source": "gaussian", "n_qubits": 3, "mu": 0.0,
+                          "sigma": 0.1, "x_l": -0.5, "delta": 1 / 7},
+        "quantity": {"quantity": "Mean", "q_total": 500},
+    })
+    assert run(["estimate", cfg, "--out-dir", tmp_path / "o"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "resources"])
+@pytest.mark.parametrize("bad", [
+    {"support_window": [0.5]},
+    {"support_window": [0.5, -0.5]},
+    {"support_window": [0.5, 0.5]},
+    {"support_window": ["a", 0.5]},
+    {"support_window": [-0.5, float("inf")]},
+    {"support_window": 0.5},
+    {"support_window": []},
+    {"x_star": "a"},
+    {"x_star": float("nan")},
+    {"x_star": [0.1]},
+    {"x_star": True},
+])
+def test_bad_quantity_window_or_x_star_exits_2(tmp_path, command, bad, capsys):
+    cfg = {
+        "seed": 1,
+        "distribution": {"source": "gaussian", "n_qubits": 3, "mu": 0.0,
+                          "sigma": 0.1, "x_l": -0.5, "delta": 1 / 7},
+        "quantity": {"quantity": "Mean", "q_total": 500, **bad},
+    }
+    if command == "resources":
+        cfg["mode"] = "nisq"
+    assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_resources_iqae_exits_2(tmp_path, capsys):

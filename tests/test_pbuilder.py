@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -417,3 +419,90 @@ def test_price_space_instrument_builds():
     assert dc.dims[cfg.dimension].delta == pytest.approx(delta * delta)
     assert len(dc.indicators) == 4  # 2 barrier + 1 strike + ESOP
     assert cfg.offset == pytest.approx(-cfg.x_star)  # price-space strike
+
+
+# ---------------------------------------------------------------- gate lists
+
+
+def price_unit(n=2):
+    from qmci.distributions import lognormal_pdf
+
+    delta = 2.0**-4
+    x_l = round(0.83 / delta) * delta
+    target = discretize_pdf(lambda x: lognormal_pdf(x, 0, 0.05), n, x_l, delta)
+    return rescale(exact_pmf_loader(target), 0, x_l, delta)
+
+
+def _esop_input():
+    dc = uniform_dc([2, 2], [(0, 0.5), (0.25, 0.25)])
+    dc = add_indicator(dc, IndicatorSpec("ThresholdLower", dim=0, value=0.5))
+    dc = add_indicator(dc, IndicatorSpec("ThresholdUpper", dim=1, value=0.5))
+    return add_indicator(dc, IndicatorSpec("Compare", dim=0, other=1))
+
+
+def _instrument(kind, space):
+    unit = small_unit() if space == "return" else price_unit()
+    extra = {"Barrier": {"barrier_ratio": 1.2},
+             "Lookback": {},
+             "Autocallable": {"strike_ratio": 0.97, "barrier_ratio": 0.85,
+                              "autocall_schedule": [(1, 1.03, 0.05), (3, 1.1, 0.2)]}}[kind]
+    spec = {"instrument": kind, "space": space, "n_slices": 3, "total_volatility": 0.2,
+            "strike_ratio": 1.05, **extra}
+    return build_instrument(unit, InstrumentSpec(**spec))
+
+
+# Fixed inputs and the SHA-256 of each builder output's circuit, registers,
+# indicators, ancillas and payoff configs.  Resource counts and prices read
+# these gate lists, so any change to a gate, its order or its qubits shows.
+GATE_LIST_CASES = {
+    "Sum": lambda: apply_binary_op(uniform_dc([2, 3], [(-1.0, 0.5), (0.25, 0.25)]),
+                                   BinaryOpSpec("Sum", 0, 1)),
+    "Product": lambda: apply_binary_op(uniform_dc([2, 2], [(2.0, 1.0), (1.0, 0.5)]),
+                                       BinaryOpSpec("Product", 0, 1)),
+    "Max": lambda: apply_binary_op(uniform_dc([2, 3], [(0, 0.5), (-0.5, 0.25)]),
+                                   BinaryOpSpec("Max", 0, 1)),
+    "Min": lambda: apply_binary_op(uniform_dc([2, 2], [(1.0, 0.25), (0.5, 0.5)]),
+                                   BinaryOpSpec("Min", 1, 0)),
+    "Max constant": lambda: apply_binary_op(uniform_dc([3], [(-1.0, 0.25)]),
+                                            BinaryOpSpec("Max", 0, constant=-0.3)),
+    "Min constant": lambda: apply_binary_op(uniform_dc([3], [(-1.0, 0.25)]),
+                                            BinaryOpSpec("Min", 0, constant=0.3)),
+    "ThresholdLower": lambda: add_indicator(uniform_dc([3], [(-1.0, 0.25)]),
+                                            IndicatorSpec("ThresholdLower", dim=0, value=-0.3)),
+    "Compare": lambda: add_indicator(uniform_dc([2, 3], [(0.0, 0.5), (-0.25, 0.25)]),
+                                     IndicatorSpec("Compare", dim=0, other=1)),
+    "Esop": lambda: add_esop(_esop_input(), [[(0, True), (1, False)], [(1, True), (2, True)]]),
+    "Brownian": lambda: build_brownian(uniform_dc([1, 2, 2], [(0, 0.5), (0, 0.25), (0, 0.5)])),
+    "Brownian geometric": lambda: build_brownian(
+        uniform_dc([1, 1, 1], [(1.0, 1.0), (1.0, 1.0), (2.0, 1.0)]), geometric=True),
+    **{f"{kind} {space}": (lambda kind=kind, space=space: _instrument(kind, space))
+       for kind in ("Barrier", "Lookback", "Autocallable") for space in ("return", "price")},
+}
+
+GATE_LIST_DIGESTS = {
+    "Autocallable price": "5bad98be71e1bb5a336d198a0958afe0f62cc7d7753fe607d2305b5784eee34a",
+    "Autocallable return": "c71af2c6aa68a937ed544e70cbd93db4f283a0a3dcb23cff9a87ec53d33eac7d",
+    "Barrier price": "78efe4b6d39e83a34fd00db5deae055c0ad134a71a07a0badb3fd4794266d9ba",
+    "Barrier return": "02d1756a8f14d95a3a5224ac69f482175b97a30992eb720a10f7c7def79076c7",
+    "Brownian": "ce5d078e0016db5c4db1e1a51eb998df21a9c30797f0244184515ff89fb35313",
+    "Brownian geometric": "1d436244048beb6e79341003e01d3231dd64f96faa08147380a4577a8337998d",
+    "Compare": "21d716c4566aedbb44d61c0738d9680280ec3e9f4365c178f26b0dc7673aa2d5",
+    "Esop": "308e7ec8d8eff549ac01bee67b6d119e375b64dc0568e659230bc101878c1a38",
+    "Lookback price": "03bbe961bf4ba8961982aa61358a82bd07e98e477ebf9c7471b4c3f34fb6d9b8",
+    "Lookback return": "9e222f82e17f46b5cdadb761e9e72698b368246a5fde8f921af2b92d0291cb7c",
+    "Max": "caffaf2f5c6222943165c75b27f1a29db4c13429a3d95da28028423342294a3b",
+    "Max constant": "962dc933406e97dbf4fade4e8cf9d8af77dade40c765afd9d234b698fe2b9e9e",
+    "Min": "17985c02702004c274538bc914016b5f27c30ecc29da1b84193b759c111837ae",
+    "Min constant": "f5ab232284497fcd4e6441ab1045d5a1e41880b597d29f7919494af5d46e16cf",
+    "Product": "ce722bcebe9171c6bdcd7fd8e3b1d668715d8044fe2809f3eeaf42883e20c352",
+    "Sum": "f7e0804d5c44597a7e6e64eefb39837cc4cb2dc19bde7145c3b26e41cfade9ad",
+    "ThresholdLower": "9323a7d8b1e223103d78ababbced6c615fd895c18d72499cf1cf8ba3fe7b9b92",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_LIST_CASES))
+def test_builder_gate_lists_pinned(case):
+    out = GATE_LIST_CASES[case]()
+    dc, cfgs = out if isinstance(out, tuple) else (out, [])
+    text = json.dumps([dc.to_dict(), [c.to_dict() for c in cfgs]], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GATE_LIST_DIGESTS[case]

@@ -283,15 +283,7 @@ def test_benchmark_shape_monotonicity():
         )
         dc, cfgs = build_instrument(unit, spec)
         cfg = cfgs[0]
-        if cfg.quantity == "BernoulliQubit":
-            qs = quantity_series("BernoulliQubit", (0.0, 1.0))
-            dim = 0
-        else:
-            pay = dc.dims[cfg.dimension]
-            qs = quantity_series(cfg.quantity, cfg.support_window or (pay.x_l, pay.x_u))
-            qs.support_window = cfg.support_window
-            qs.x_star = cfg.x_star
-            dim = cfg.dimension
+        qs, dim = cfg.quantity_spec(dc)
         plan = build_plan(dc, qs, dim, "MLQAE", target_rmse=1e-2, condition=cfg.condition)
         return nisq_report(plan)
 

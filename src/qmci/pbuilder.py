@@ -153,6 +153,8 @@ class InstrumentSpec:
             raise ValueError("need n_slices >= 1")
         if self.total_volatility <= 0:
             raise ValueError("volatility must be positive")
+        if self.call_or_put not in ("call", "put"):
+            raise ValueError("call_or_put must be 'call' or 'put'")
         if self.payoff_kind not in ("value", "binary"):
             raise ValueError("payoff_kind must be 'value' or 'binary'")
         ts = [t for (t, _, _) in self.autocall_schedule]
@@ -768,9 +770,10 @@ def build_instrument(
                 cur = nxt + cur[2 * len(nxt):]  # an odd one out moves up a round
             pay_dim = cur[0]
             inds = []
-        inds.append(threshold(pay_dim, strike, lower=True))
-        sign = 1.0 if spec.call_or_put == "call" else -1.0
-        leg(inds, pay_dim, strike, sign, spec.binary_payout,
+        # a call pays S - K on S >= K, a put K - S on S < K
+        call = spec.call_or_put == "call"
+        inds.append(threshold(pay_dim, strike, lower=call))
+        leg(inds, pay_dim, strike, 1.0 if call else -1.0, spec.binary_payout,
             ("value payoff", "binary payoff"))
         return dc, configs
 

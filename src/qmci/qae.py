@@ -192,6 +192,24 @@ def _log_abs(f, x, out=None) -> np.ndarray:
     return np.maximum(out, -5e5, out=out)
 
 
+# (log|sin|, log|cos|) of (2m+1) theta on _THETA_GRID, kept for the EIS
+# levels m = 0, 1, 2, 4, ... only (320 KB each; the 17 of them cover every
+# budget below 10^7), while the one off-ladder level of a schedule is
+# computed per call.
+_MLQAE_TABLE_CACHE: dict[int, np.ndarray] = {}
+
+
+def _mlqae_table(m: int) -> np.ndarray:
+    table = _MLQAE_TABLE_CACHE.get(m)
+    if table is None:
+        x = (2.0 * m + 1.0) * _THETA_GRID
+        with np.errstate(divide="ignore"):
+            table = np.stack((_log_abs(np.sin, x), _log_abs(np.cos, x)))
+        if m & (m - 1) == 0:  # m = 0 or a power of two
+            _MLQAE_TABLE_CACHE[m] = table
+    return table
+
+
 def _mlqae_theta(levels, shots, hits) -> np.ndarray:
     """Maximum-likelihood theta of every row of ``hits``: the best point
     of a coarse grid, refined on a local grid spanning its neighbours.
@@ -199,21 +217,21 @@ def _mlqae_theta(levels, shots, hits) -> np.ndarray:
     Outcome counts at level m are binomial with success probability
     sin^2((2m+1) theta), so the log-likelihood weighs log|sin((2m+1) theta)|
     by twice the hits and log|cos((2m+1) theta)| by twice the misses.
-    Terms that no repeat weighs are skipped.  The coarse table is built in
-    blocks of at most 2^15 entries, which stay cache-resident.
+    Terms that no repeat weighs are skipped.  The coarse likelihood is
+    summed in blocks of at most 2^15 table entries, which stay
+    cache-resident.
     """
     weights = np.concatenate((hits, shots - hits), axis=1) * 2.0
     used = weights.any(axis=0)
     n_sin = int(used[:len(levels)].sum())  # sin terms come first
     weights, mult = weights[:, used], np.concatenate((levels, levels))[used, None] * 2.0 + 1.0
+    rows = [_mlqae_table(int(m))[k] for k in (0, 1) for m in levels]  # as weights' columns
+    table = np.stack([row for row, u in zip(rows, used) if u])
     ll = np.empty((len(hits), _THETA_GRID.size))
     block = 2**15 // len(mult)
     with np.errstate(divide="ignore"):
         for start in range(0, _THETA_GRID.size, block):
-            x = mult * _THETA_GRID[start:start + block]
-            _log_abs(np.sin, x[:n_sin], x[:n_sin])
-            _log_abs(np.cos, x[n_sin:], x[n_sin:])
-            ll[:, start:start + block] = weights @ x
+            ll[:, start:start + block] = weights @ table[:, start:start + block]
         best = _THETA_GRID[np.argmax(ll, axis=1)]
         step = _THETA_GRID[1]
         lo = np.maximum(0.0, best - step)
@@ -264,28 +282,30 @@ def iqae_risk(alpha: float, epsilon: float) -> float:
     return (1.0 - alpha) * epsilon**2 + alpha * (math.pi / 2.0) ** 2
 
 
+# The epsilon grid of opt_ae and the parts of its query bound that do not
+# depend on the budget.  log2 is math's, as in the scalar scan this
+# replaced: np.log2 may differ in the last place.
+_OPT_EPS = np.logspace(-8, np.log10(math.pi / 8.0), 4000)
+_OPT_C = 100.0 / _OPT_EPS + _IQAE_CONST
+_OPT_L = np.array([math.log2(math.pi / (4.0 * eps)) for eps in _OPT_EPS])
+
+
 def opt_ae(q: int) -> tuple[float, float] | None:
     """(epsilon, alpha) minimising the risk subject to the query bound
     matching q; None when no feasible pair exists (budget too small).
 
     epsilon is capped at pi/8 (half the angular domain); past that the
     inverted query bound stops being meaningful and the caller falls back
-    to prepare-and-measure."""
-    best = None
-    for eps in np.logspace(-8, np.log10(math.pi / 8.0), 4000):
-        c = 100.0 / eps + _IQAE_CONST
-        big_l = math.log2(math.pi / (4.0 * eps))
-        if big_l <= 0:
-            continue
-        alpha = 2.0 * big_l * math.exp(-q / c)
-        if not 0.0 < alpha < 1.0:
-            continue
-        r = iqae_risk(alpha, eps)
-        if best is None or r < best[0]:
-            best = (r, eps, alpha)
-    if best is None:
+    to prepare-and-measure.  The grid is scanned in one array expression;
+    the first minimum's alpha is then recomputed with ``math.exp``, which
+    can differ from ``np.exp`` in the last place."""
+    alpha = 2.0 * _OPT_L * np.exp(-q / _OPT_C)
+    risk = iqae_risk(alpha, _OPT_EPS)
+    feasible = (_OPT_L > 0) & (alpha > 0.0) & (alpha < 1.0)
+    if not feasible.any():
         return None
-    return best[1], best[2]
+    i = int(np.argmin(np.where(feasible, risk, np.inf)))
+    return _OPT_EPS[i], 2.0 * float(_OPT_L[i]) * math.exp(-q / _OPT_C[i])
 
 
 def _find_next_k(k: int, upper_half: bool, frac_interval, min_ratio: float = 2.0):

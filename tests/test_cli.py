@@ -281,6 +281,22 @@ def test_unknown_instrument_exits_2(tmp_path, command, capsys):
     assert "Barier" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["estimate", "resources"])
+def test_bad_call_or_put_exits_2(tmp_path, command, capsys):
+    cfg = {
+        "seed": 1, "mode": "nisq",
+        "distribution": {"source": "gaussian", "n_qubits": 2, "mu": 0.0,
+                          "sigma": 1.0, "x_l": -5.0, "delta": 10 / 3},
+        "instrument": {"instrument": "Barrier", "space": "return", "n_slices": 2,
+                        "total_volatility": 0.4, "strike_ratio": 1.02,
+                        "barrier_ratio": 1.3, "call_or_put": "cal"},
+    }
+    if command == "estimate":
+        del cfg["mode"]
+    assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+    assert "call_or_put" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg", [
     {"qae": "IQAA", "amplitudes": [0.5], "q_list": [100], "repeats": 100},
     {"sweeps": [{"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100}],

@@ -388,6 +388,70 @@ def test_instrument_spec_validation():
         InstrumentSpec("Autocallable", autocall_schedule=[(2, 1, 0.1), (1, 1, 0.1)])
     with pytest.raises(ValueError):
         InstrumentSpec("Barrier", payoff_kind="maybe")
+    with pytest.raises(ValueError, match="call_or_put"):
+        InstrumentSpec("Barrier", call_or_put="cal")
+
+
+# A two-slice Barrier (16 qubits) and a one-slice Lookback (8 qubits; a
+# two-slice one needs 21) on the 2-qubit unit.  The strike snaps to log
+# return 0 and the barrier to 1, so calls, puts and knock-outs all carry
+# probability.
+INSTRUMENTS = {"Barrier": {"n_slices": 2, "barrier_ratio": 2.0},
+               "Lookback": {"n_slices": 1}}
+
+
+def _call_or_put(kind, call_or_put, payoff_kind="value"):
+    spec = InstrumentSpec(kind, space="return", total_volatility=0.4, strike_ratio=0.95,
+                          call_or_put=call_or_put, payoff_kind=payoff_kind,
+                          **INSTRUMENTS[kind])
+    dc, (cfg,) = build_instrument(small_unit(), spec)
+    return dc, cfg, simulate(dc.circuit)
+
+
+def _alive(kind, dc, st):
+    """P(final path code, no knock-out).  A Barrier's first indicators are
+    its path registers' barrier thresholds; a Lookback has none."""
+    n_slices = INSTRUMENTS[kind]["n_slices"]
+    barrier = list(dc.indicators[:n_slices]) if kind == "Barrier" else []
+    d = dc.dims[-1]
+    return marginal_pmf(st, list(d.qubits) + barrier).reshape(d.n_points, -1)[:, -1]
+
+
+def _on(dc, st, cfg, dim):
+    """P(code of ``dim``, the config's condition indicator = 1)."""
+    d = dc.dims[dim]
+    return marginal_pmf(st, list(d.qubits) + [dc.indicators[cfg.condition]])[1::2]
+
+
+@pytest.mark.parametrize("kind", sorted(INSTRUMENTS))
+def test_put_prices_strike_minus_spot_below_strike(kind):
+    dc, cfg, st = _call_or_put(kind, "put")
+    assert cfg.dimension == len(dc.dims) - 1
+    d = dc.dims[cfg.dimension]
+    spot = np.exp(d.x_l + d.delta * np.arange(d.n_points))  # return space
+    strike = math.exp(cfg.x_star)
+    # exact E[(K - S)+] over the paths the barrier keeps alive
+    reference = float(np.sum(_alive(kind, dc, st) * np.maximum(strike - spot, 0.0)))
+    assert reference > 0.1
+    # the config's quantity: E[S 1_cond] + K P(not cond), mapped by scale and offset
+    p_cond = _on(dc, st, cfg, cfg.dimension)
+    quantity = float(np.sum(p_cond * spot)) + strike * (1.0 - float(p_cond.sum()))
+    assert cfg.scale * quantity + cfg.offset == pytest.approx(reference, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(INSTRUMENTS))
+@pytest.mark.parametrize("payoff_kind", ["value", "binary"])
+def test_call_and_put_conditions_are_complementary(kind, payoff_kind):
+    # per final path code: the call holds on S >= K, the put on S < K, and
+    # together they cover every path the barrier keeps alive
+    legs = [_call_or_put(kind, c, payoff_kind) for c in ("call", "put")]
+    p_call, p_put = (_on(dc, st, cfg, len(dc.dims) - 1) for dc, cfg, st in legs)
+    dc, cfg, st = legs[0]
+    code, _ = snap_to_grid(dc.dims[-1], math.log(0.95))
+    assert np.allclose(p_call[:code], 0.0, atol=1e-12)
+    assert np.allclose(p_put[code:], 0.0, atol=1e-12)
+    assert np.allclose(p_call + p_put, _alive(kind, dc, st), rtol=0.0, atol=1e-12)
+    assert p_call.sum() > 0.1 and p_put.sum() > 0.1
 
 
 def test_instrument_slice_deltas_are_powers_of_two():

@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
@@ -32,27 +34,18 @@ def test_layer_metrics_inputs_exist():
     assert isinstance(qae.DEFAULT_POSTERIOR_GRID, int)
 
 
-def test_instrument_checks_pass_on_cli_outputs(tmp_path, monkeypatch):
-    # the instrument checks call cli._load_distribution, build_instrument,
-    # PayoffConfig.to_dict, quantity_series, build_plan and ft_constraint,
-    # and take the loader copies to be the circuit's leading gates
+@pytest.fixture
+def workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    import workloads
+    return importlib.import_module("workloads")
+
+
+def _assert_checks_pass(tmp_path, workloads, workload, requests):
+    """Run each request through ``cli.main`` and apply the benchmark's
+    check for its kind to the files it writes."""
     from qmci.cli import main
 
-    unit = {"source": "gaussian", "n_qubits": 2, "mu": 0.1, "sigma": 1.0,
-            "x_l": -1.5, "delta": 1.0}
-    spec = {"instrument": "Barrier", "space": "return", "n_slices": 2,
-            "total_volatility": 0.2, "strike_ratio": 0.95, "barrier_ratio": 1.2}
-    requests = [
-        workloads.Request("pricing", ["estimate"],
-                          {"seed": 3, "distribution": unit, "qae": {"qae": "MLQAE"},
-                           "instrument": {**spec, "q_budget": 2000}}, "Barrier price"),
-        workloads.Request("resources", ["resources"],
-                          {"mode": "ft", "distribution": unit, "qae": {"qae": "MLQAE"},
-                           "instrument": {**spec, "target_rmse": 0.01}}, "Barrier ft"),
-    ]
-    checks = workloads.WORKLOADS["instrument"][1]
+    checks = workloads.WORKLOADS[workload][1]
     for i, req in enumerate(requests):
         cfg, out = tmp_path / f"c{i}.json", tmp_path / f"out{i}"
         cfg.write_text(json.dumps(req.config))
@@ -61,3 +54,46 @@ def test_instrument_checks_pass_on_cli_outputs(tmp_path, monkeypatch):
         docs = {n: json.loads(b) for n, b in files.items() if n.endswith(".json")}
         problems, _ = checks[req.kind](req, docs, files)
         assert problems == [], req.label
+
+
+def test_instrument_checks_pass_on_cli_outputs(tmp_path, workloads):
+    # the instrument checks call cli._load_distribution, build_instrument,
+    # PayoffConfig.to_dict, quantity_series, build_plan and ft_constraint,
+    # and take the loader copies to be the circuit's leading gates
+    unit = {"source": "gaussian", "n_qubits": 2, "mu": 0.1, "sigma": 1.0,
+            "x_l": -1.5, "delta": 1.0}
+    spec = {"instrument": "Barrier", "space": "return", "n_slices": 2,
+            "total_volatility": 0.2, "strike_ratio": 0.95, "barrier_ratio": 1.2}
+    _assert_checks_pass(tmp_path, workloads, "instrument", [
+        workloads.Request("pricing", ["estimate"],
+                          {"seed": 3, "distribution": unit, "qae": {"qae": "MLQAE"},
+                           "instrument": {**spec, "q_budget": 2000}}, "Barrier price"),
+        workloads.Request("resources", ["resources"],
+                          {"mode": "ft", "distribution": unit, "qae": {"qae": "MLQAE"},
+                           "instrument": {**spec, "target_rmse": 0.01}}, "Barrier ft"),
+    ])
+
+
+def test_estimate_check_passes_on_cli_output(tmp_path, workloads):
+    loader = {"source": "gaussian", "n_qubits": 5, "mu": 0.1, "sigma": 0.2,
+              "x_l": -0.7, "delta": 1.6 / 31}
+    _assert_checks_pass(tmp_path, workloads, "estimate", [workloads.Request(
+        "estimate", ["estimate"],
+        {"seed": 3, "distribution": loader, "quantity": {"quantity": "Mean", "q_total": 10_000},
+         "qae": {"qae": "MLQAE"}}, "MLQAE Mean")])
+
+
+@pytest.mark.parametrize("estimator", ["PAM", "MLQAE", "IQAE", "LCU"])
+def test_sweep_check_passes_on_cli_output(tmp_path, workloads, estimator):
+    _assert_checks_pass(tmp_path, workloads, "sweep", [workloads.Request(
+        "sweep", ["qae-sweep"],
+        {"qae": estimator, "amplitudes": [0.3], "q_list": [1000], "repeats": 100,
+         "n_resamples": 100, "seed": 5}, estimator)])
+
+
+def test_train_check_passes_on_cli_output(tmp_path, workloads):
+    _assert_checks_pass(tmp_path, workloads, "train", [workloads.Request(
+        "train", ["dist", "train"],
+        {"target": {"pdf": "gaussian", "mu": 0.1, "sigma": 0.5}, "n_qubits": 3,
+         "x_l": -4.0, "delta": 8.0 / 7, "n_layers": 1, "norm": "L2", "seed": 3},
+        "3q L2")])

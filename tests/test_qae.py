@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qmci import qae
 from qmci.circuit import QuantumCircuit
 from qmci.qae import (
     QaeProblem,
@@ -164,6 +165,63 @@ def test_posterior_contracts_with_budget():
     assert rmse[0] > rmse[1] > rmse[2]
 
 
+def _mlqae_theta_inline(levels, shots, hits):
+    """_mlqae_theta with the coarse log-likelihood table computed in-line,
+    block by block, at every call."""
+    grid = qae._THETA_GRID
+    weights = np.concatenate((hits, shots - hits), axis=1) * 2.0
+    used = weights.any(axis=0)
+    n_sin = int(used[:len(levels)].sum())
+    weights, mult = weights[:, used], np.concatenate((levels, levels))[used, None] * 2.0 + 1.0
+    ll = np.empty((len(hits), grid.size))
+    block = 2**15 // len(mult)
+    with np.errstate(divide="ignore"):
+        for start in range(0, grid.size, block):
+            x = mult * grid[start:start + block]
+            qae._log_abs(np.sin, x[:n_sin], x[:n_sin])
+            qae._log_abs(np.cos, x[n_sin:], x[n_sin:])
+            ll[:, start:start + block] = weights @ x
+        best = grid[np.argmax(ll, axis=1)]
+        step = grid[1]
+        lo = np.maximum(0.0, best - step)
+        hi = np.minimum(math.pi / 2.0, best + step)
+        local = np.arange(qae.MLQAE_REFINE) * ((hi - lo) / (qae.MLQAE_REFINE - 1))[:, None] + lo[:, None]
+        local[:, -1] = hi
+        ll = np.zeros_like(local)
+        for j, k in enumerate(mult[:, 0]):
+            ll += weights[:, j, None] * qae._log_abs(np.sin if j < n_sin else np.cos, k * local)
+    return local[np.arange(len(hits)), np.argmax(ll, axis=1)]
+
+
+@pytest.mark.parametrize("repeats", [1, 40])
+def test_mlqae_theta_equals_inline_table(repeats):
+    # budgets with and without an off-ladder level m', and amplitudes 0 and
+    # 1, where every repeat leaves the sin or the cos terms unweighed
+    for a in (0.0, 0.02, 0.3, 0.5, 0.77, 1.0):
+        for q in (1, 66, 200, 300, 1000, 4321, 10_000, 50_000):
+            for seed in (0, 5):
+                schedule = eis_schedule(q)
+                levels = np.array([m for m, _ in schedule])
+                shots = np.array([n for _, n in schedule])
+                probs = np.sin((2 * levels + 1) * math.asin(math.sqrt(a))) ** 2
+                hits = np.random.default_rng(seed).binomial(shots, probs,
+                                                            size=(repeats, len(levels)))
+                got = qae._mlqae_theta(levels, shots, hits)
+                assert np.array_equal(got, _mlqae_theta_inline(levels, shots, hits)), (a, q, seed)
+
+
+def test_mlqae_tables_kept_for_eis_levels_only(monkeypatch):
+    monkeypatch.setattr(qae, "_MLQAE_TABLE_CACHE", {})
+    budgets = [*range(1, 20_000, 97), 65_432, 200_000]
+    seen = set()
+    for q in budgets:
+        seen.update(m for m, _ in eis_schedule(q))
+        mlqae_from_amplitude(0.3, q, seed=q)
+    ladder = {0} | {2**k for k in range(20)}
+    assert seen - ladder  # off-ladder levels m' were run ...
+    assert set(qae._MLQAE_TABLE_CACHE) == seen & ladder  # ... and not kept
+
+
 # ---------------------------------------------------------------- IQAE
 
 
@@ -178,6 +236,41 @@ def test_opt_ae_round_trip():
     assert pair is not None
     eps, alpha = pair
     assert iqae_risk(alpha, eps) <= iqae_risk(alpha0, eps0) * (1 + 1e-9)
+
+
+# opt_ae's scan written as a scalar loop with math calls: the reference its
+# array expression must equal.  The grid and the q-independent parts of the
+# query bound are hoisted out of the loop over budgets.
+_OPT_AE_GRID = [
+    (eps, 100.0 / eps + qae._IQAE_CONST, math.log2(math.pi / (4.0 * eps)))
+    for eps in np.logspace(-8, np.log10(math.pi / 8.0), 4000)
+]
+
+
+def _opt_ae_loop(q):
+    best = None
+    for eps, c, big_l in _OPT_AE_GRID:
+        if big_l <= 0:
+            continue
+        alpha = 2.0 * big_l * math.exp(-q / c)
+        if not 0.0 < alpha < 1.0:
+            continue
+        r = iqae_risk(alpha, eps)
+        if best is None or r < best[0]:
+            best = (r, eps, alpha)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def test_opt_ae_equals_scalar_loop():
+    budgets = [*range(1, 3001), 3001, 4096, 5999, 10_000, 12_345, 65_536, 100_003,
+               400_000, 999_983, 1_000_000]
+    results = [(opt_ae(q), _opt_ae_loop(q)) for q in budgets]
+    for q, (got, want) in zip(budgets, results):
+        assert got == want, q
+        assert [type(x) for x in got or ()] == [type(x) for x in want or ()], q
+    assert results[0][1] is None and results[-1][1] is not None
 
 
 def test_iqae_uses_budget_and_converges():

@@ -402,6 +402,9 @@ def _one_sweep(cfg: dict) -> rob_mod.SweepReport:
     if not (isinstance(q_list, list) and q_list and all(_is_int(q, 1) for q in q_list)):
         raise SchemaError(f"qae-sweep: q_list must be a non-empty list of integers >= 1, "
                           f"got {q_list!r}")
+    if len(set(amplitudes)) < len(amplitudes) or len(set(q_list)) < len(q_list):
+        raise SchemaError(f"qae-sweep: amplitudes ({amplitudes!r}) and q_list ({q_list!r}) "
+                          f"must not repeat an entry")
     return rob_mod.amplitude_sweep(
         cfg["qae"],
         amplitudes,

@@ -10,11 +10,10 @@ benchmark sample sizes used here.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr, ndtri
 
 from . import qae as qae_mod
 
@@ -43,6 +42,43 @@ class EstimatorStats:
         }
 
 
+def _row_stats(rows: np.ndarray, true_value: float) -> dict:
+    """The ``EstimatorStats`` fields of every row of a 2-D sample matrix,
+    as arrays.  Bias and MSE are taken on the rows as given; the central
+    moments are two-pass, about the mean of each row sorted.
+
+    Row-wise ``np.mean`` equals the 1-D mean of each row bit for bit, and
+    the last step runs on Python floats because numpy's vector power rounds
+    ``mu2 ** 1.5`` differently, so each row gives exactly what one call
+    per row would.
+    """
+    mean = np.mean(rows, axis=1)
+    mse = np.mean((rows - true_value) ** 2, axis=1)
+    s = np.sort(rows, axis=1)
+    smean = np.mean(s, axis=1)
+    dev = s - smean[:, None]
+    mu2 = np.mean(dev**2, axis=1)
+    mu3 = np.mean(dev**3, axis=1)
+    mu4 = np.mean(dev**4, axis=1)
+    nan = float("nan")
+    skew, kurt, degenerate = [], [], []
+    for m, v2, v3, v4 in zip(smean.tolist(), mu2.tolist(), mu3.tolist(), mu4.tolist()):
+        flat = v2 <= (1e-14 * max(1.0, abs(m))) ** 2
+        degenerate.append(flat)
+        skew.append(nan if flat else v3 / v2**1.5)
+        kurt.append(nan if flat else v4 / v2**2)
+    kurt = np.array(kurt)
+    return {
+        "bias": mean - true_value,
+        "mse": mse,
+        "rmse": np.sqrt(mse),
+        "skewness": np.array(skew),
+        "kurtosis": kurt,
+        "excess_kurtosis": kurt - 3.0,
+        "degenerate": np.array(degenerate),
+    }
+
+
 def estimator_stats(samples, true_value: float) -> EstimatorStats:
     """Bias and MSE about ``true_value``; central moments about the sample
     mean.  Needs at least four samples (moments up to order four).
@@ -51,19 +87,12 @@ def estimator_stats(samples, true_value: float) -> EstimatorStats:
     s = np.sort(np.asarray(samples, dtype=float))
     if s.size < 4:
         raise ValueError("need at least 4 samples")
-    mean = float(s.mean())
-    bias = mean - true_value
-    mse = float(np.mean((s - true_value) ** 2))
-    mu2 = float(np.mean((s - mean) ** 2))
-    scale = max(1.0, abs(mean))
-    if mu2 <= (1e-14 * scale) ** 2:
-        return EstimatorStats(bias, mse, math.sqrt(mse), float("nan"),
-                              float("nan"), float("nan"), s.size, degenerate=True)
-    mu3 = float(np.mean((s - mean) ** 3))
-    mu4 = float(np.mean((s - mean) ** 4))
-    skew = mu3 / mu2**1.5
-    kurt = mu4 / mu2**2
-    return EstimatorStats(bias, mse, math.sqrt(mse), skew, kurt, kurt - 3.0, s.size)
+    row = _row_stats(s[None, :], true_value)
+    return EstimatorStats(
+        **{k: float(row[k][0]) for k in ("bias", "mse", "rmse", "skewness",
+                                         "kurtosis", "excess_kurtosis")},
+        n_samples=s.size, degenerate=bool(row["degenerate"][0]),
+    )
 
 
 _NAMED_STATISTICS = {
@@ -97,20 +126,28 @@ def bootstrap_ci(samples, statistic, level: float = 0.68,
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n, size=(n_resamples, n))
     boot = np.array([float(stat(s[row])) for row in idx])
+    jack = np.array([float(stat(np.delete(s, i))) for i in range(n)])
+    return _bca(point, boot, jack, level)
+
+
+def _bca(point: float, boot: np.ndarray, jack: np.ndarray,
+         level: float) -> tuple[float, float]:
+    """The BCa interval from a statistic's point value, its bootstrap
+    replicates and its leave-one-out (jackknife) values."""
+    n_resamples = boot.size
     below = float(np.sum(boot < point) + 0.5 * np.sum(boot == point))
     frac = min(max(below / n_resamples, 1.0 / (2 * n_resamples)),
                1.0 - 1.0 / (2 * n_resamples))
-    z0 = float(_norm.ppf(frac))
-    jack = np.array([float(stat(np.delete(s, i))) for i in range(n)])
+    z0 = float(ndtri(frac))
     jm = jack.mean()
     num = float(np.sum((jm - jack) ** 3))
     den = float(np.sum((jm - jack) ** 2)) ** 1.5
     a = num / (6.0 * den) if den > 0 else 0.0
     alpha = 1.0 - level
     out = []
-    for z in (_norm.ppf(alpha / 2.0), _norm.ppf(1.0 - alpha / 2.0)):
+    for z in (ndtri(alpha / 2.0), ndtri(1.0 - alpha / 2.0)):
         adj = z0 + (z0 + z) / (1.0 - a * (z0 + z))
-        out.append(float(_norm.cdf(adj)))
+        out.append(float(ndtr(adj)))
     lo = float(np.quantile(boot, out[0]))
     hi = float(np.quantile(boot, out[1]))
     return (min(lo, hi), max(lo, hi))
@@ -121,6 +158,26 @@ def bootstrap_ci(samples, statistic, level: float = 0.68,
 
 
 _METRICS = ("bias", "rmse", "skewness", "excess_kurtosis")
+
+
+def _sweep_intervals(samples, true_value: float, n_resamples: int,
+                     seed: int) -> dict:
+    """68% BCa intervals for the four sweep metrics of ``samples``, equal
+    to ``bootstrap_ci(samples, <metric>, 0.68, n_resamples, seed)``.  The
+    metrics share one resample draw; each of its rows and each
+    leave-one-out row is summarised once, by ``_row_stats``."""
+    s = np.asarray(samples, dtype=float)
+    n = s.size
+    point = _row_stats(s[None, :], true_value)
+    if np.all(s == s[0]):
+        return {f"{m}_ci": (float(point[m][0]),) * 2 for m in _METRICS}
+    idx = np.random.default_rng(seed).integers(0, n, size=(n_resamples, n))
+    boot = _row_stats(s[idx], true_value)
+    # row i is s without s[i], in np.delete order
+    cols = np.arange(n - 1)
+    jack = _row_stats(s[cols + (cols >= np.arange(n)[:, None])], true_value)
+    return {f"{m}_ci": _bca(float(point[m][0]), boot[m], jack[m], 0.68)
+            for m in _METRICS}
 
 
 @dataclass
@@ -193,6 +250,10 @@ def amplitude_sweep(
     q_list = [int(q) for q in q_list]
     if repeats < 100:
         raise ValueError("need at least 100 repeats")
+    if n_resamples < 100:
+        raise ValueError("need at least 100 resamples")
+    if len(set(amplitude_grid)) < len(amplitude_grid) or len(set(q_list)) < len(q_list):
+        raise ValueError("amplitudes and q_list entries must be distinct")
     if any(not 0.0 < a < 1.0 for a in amplitude_grid):
         raise ValueError("amplitudes must lie in (0, 1)")
     lam = 1 if qae_kind == "PAM" else 2
@@ -208,16 +269,8 @@ def amplitude_sweep(
                 "rmse": st.rmse,
                 "skewness": st.skewness,
                 "excess_kurtosis": st.excess_kurtosis,
+                **_sweep_intervals(est, a, n_resamples, seed=sub + 1),
             }
-            for name, fn in (
-                ("bias", lambda x: float(np.mean(x)) - a),
-                ("rmse", lambda x: float(np.sqrt(np.mean((x - a) ** 2)))),
-                ("skewness", lambda x: estimator_stats(x, a).skewness),
-                ("excess_kurtosis", lambda x: estimator_stats(x, a).excess_kurtosis),
-            ):
-                cell[f"{name}_ci"] = bootstrap_ci(
-                    est, fn, 0.68, n_resamples, seed=sub + 1
-                )
             report.cells[(a, q)] = cell
             rmses.append(st.rmse)
         rmses = np.array(rmses)

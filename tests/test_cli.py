@@ -317,6 +317,8 @@ def test_bad_call_or_put_exits_2(tmp_path, command, capsys):
     {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "seed": -1},
     {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "seed": 2.5},
     {"qae": "PAM", "amplitudes": [0.5], "q_list": [100], "repeats": 100, "seed": True},
+    {"qae": "PAM", "amplitudes": [0.5, 0.5], "q_list": [100], "repeats": 100},
+    {"qae": "PAM", "amplitudes": [0.5], "q_list": [100, 100], "repeats": 100},
 ])
 def test_qae_sweep_bad_config_exits_2(tmp_path, cfg):
     assert run(["qae-sweep", write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2

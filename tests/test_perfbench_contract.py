@@ -83,12 +83,18 @@ def test_estimate_check_passes_on_cli_output(tmp_path, workloads):
          "qae": {"qae": "MLQAE"}}, "MLQAE Mean")])
 
 
-@pytest.mark.parametrize("estimator", ["PAM", "MLQAE", "IQAE", "LCU"])
+@pytest.mark.parametrize("estimator", ["PAM", "MLQAE", "IQAE", "LCU", "all at workload shape"])
 def test_sweep_check_passes_on_cli_output(tmp_path, workloads, estimator):
+    estimators = [estimator]
+    shape = {"amplitudes": [0.3], "q_list": [1000], "repeats": 100, "n_resamples": 100}
+    if estimator == "all at workload shape":
+        from workloads import SWEEP_AMPLITUDES, SWEEP_BUDGETS, SWEEP_REPEATS, SWEEP_RESAMPLES
+
+        estimators = ["PAM", "MLQAE", "IQAE", "LCU"]
+        shape = {"amplitudes": list(SWEEP_AMPLITUDES), "q_list": SWEEP_BUDGETS,
+                 "repeats": SWEEP_REPEATS, "n_resamples": SWEEP_RESAMPLES}
     _assert_checks_pass(tmp_path, workloads, "sweep", [workloads.Request(
-        "sweep", ["qae-sweep"],
-        {"qae": estimator, "amplitudes": [0.3], "q_list": [1000], "repeats": 100,
-         "n_resamples": 100, "seed": 5}, estimator)])
+        "sweep", ["qae-sweep"], {"qae": e, **shape, "seed": 5}, e) for e in estimators])
 
 
 def test_train_check_passes_on_cli_output(tmp_path, workloads):

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from qmci.qae import estimate_amplitude
 from qmci.robustness import (
     EstimatorStats,
     amplitude_sweep,
@@ -50,6 +52,34 @@ def test_stats_affine_equivariance(rng):
     assert scaled.bias == pytest.approx(alpha * base.bias, abs=1e-12)
     assert scaled.skewness == pytest.approx(base.skewness, rel=1e-9)
     assert scaled.excess_kurtosis == pytest.approx(base.excess_kurtosis, rel=1e-9)
+
+
+def _scalar_stats(samples, true_value):
+    """The moment formulas on one sorted sample, on Python floats."""
+    s = np.sort(np.asarray(samples, dtype=float))
+    mean = float(s.mean())
+    mse = float(np.mean((s - true_value) ** 2))
+    mu2 = float(np.mean((s - mean) ** 2))
+    if mu2 <= (1e-14 * max(1.0, abs(mean))) ** 2:
+        nan = float("nan")
+        return EstimatorStats(mean - true_value, mse, math.sqrt(mse), nan, nan, nan,
+                              s.size, degenerate=True)
+    kurt = float(np.mean((s - mean) ** 4)) / mu2**2
+    return EstimatorStats(mean - true_value, mse, math.sqrt(mse),
+                          float(np.mean((s - mean) ** 3)) / mu2**1.5, kurt, kurt - 3.0,
+                          s.size)
+
+
+def test_stats_equal_scalar_formulas():
+    gen = np.random.default_rng(20)
+    for scale in (1e-9, 1e-4, 1e-2, 1.0, 1e3):
+        for n in (4, 37, 200):
+            for _ in range(80):
+                s = 0.3 + scale * gen.standard_normal(n)
+                assert json.dumps(estimator_stats(s, 0.3).to_dict()) == json.dumps(
+                    _scalar_stats(s, 0.3).to_dict())
+    flat = estimator_stats([0.25] * 6, 0.2)
+    assert json.dumps(flat.to_dict()) == json.dumps(_scalar_stats([0.25] * 6, 0.2).to_dict())
 
 
 def test_stats_too_few_samples():
@@ -127,3 +157,41 @@ def test_sweep_validation():
         amplitude_sweep("PAM", [1.5], [100], repeats=200, seed=0)
     with pytest.raises(ValueError):
         amplitude_sweep("PAM", [0.5], [100], repeats=10, seed=0)
+    with pytest.raises(ValueError):
+        amplitude_sweep("PAM", [0.5], [100], repeats=200, seed=0, n_resamples=99)
+    with pytest.raises(ValueError):
+        amplitude_sweep("PAM", [0.5, 0.5], [100], repeats=200, seed=0)
+    with pytest.raises(ValueError):
+        amplitude_sweep("PAM", [0.5], [100, 100], repeats=200, seed=0)
+
+
+@pytest.mark.parametrize("kind,amps,q_list,repeats,n_resamples", [
+    ("PAM", [1e-9, 0.3], [50, 400], 120, 100),
+    ("MLQAE", [0.2, 0.85], [1, 300], 100, 150),
+    ("IQAE", [0.45], [100, 2000], 150, 100),
+    ("LCU", [0.6], [500, 4000], 130, 110),
+    ("LCU", [0.35], [4000], 1000, 100),
+])
+def test_sweep_cells_equal_per_resample_reference(kind, amps, q_list, repeats, n_resamples):
+    """Every cell is byte for byte what one statistic call per bootstrap
+    resample and per jackknife deletion gives."""
+    seed = 4
+    rep = amplitude_sweep(kind, amps, q_list, repeats=repeats, seed=seed,
+                          n_resamples=n_resamples)
+    for ai, a in enumerate(amps):
+        for qi, q in enumerate(q_list):
+            sub = int(np.random.SeedSequence((seed, ai, qi)).generate_state(1)[0])
+            est = estimate_amplitude(kind, a, q, sub, 0.5, repeats=repeats)
+            st = estimator_stats(est, a)
+            ref = {"bias": st.bias, "rmse": st.rmse, "skewness": st.skewness,
+                   "excess_kurtosis": st.excess_kurtosis}
+            for name, fn in (
+                ("bias", lambda x: float(np.mean(x)) - a),
+                ("rmse", lambda x: float(np.sqrt(np.mean((x - a) ** 2)))),
+                ("skewness", lambda x: estimator_stats(x, a).skewness),
+                ("excess_kurtosis", lambda x: estimator_stats(x, a).excess_kurtosis),
+            ):
+                ref[f"{name}_ci"] = bootstrap_ci(est, fn, 0.68, n_resamples, seed=sub + 1)
+            assert json.dumps(rep.cells[(a, q)]) == json.dumps(ref), (a, q)
+    if kind == "PAM":
+        assert math.isnan(rep.cells[(1e-9, 50)]["skewness"])

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,7 +220,8 @@ def _mlqae_theta(levels, shots, hits) -> np.ndarray:
     by twice the hits and log|cos((2m+1) theta)| by twice the misses.
     Terms that no repeat weighs are skipped.  The coarse likelihood is
     summed in blocks of at most 2^15 table entries, which stay
-    cache-resident.
+    cache-resident, and only each row's best point so far is kept, never
+    the whole (repeats x grid) likelihood matrix.
     """
     weights = np.concatenate((hits, shots - hits), axis=1) * 2.0
     used = weights.any(axis=0)
@@ -227,12 +229,21 @@ def _mlqae_theta(levels, shots, hits) -> np.ndarray:
     weights, mult = weights[:, used], np.concatenate((levels, levels))[used, None] * 2.0 + 1.0
     rows = [_mlqae_table(int(m))[k] for k in (0, 1) for m in levels]  # as weights' columns
     table = np.stack([row for row, u in zip(rows, used) if u])
-    ll = np.empty((len(hits), _THETA_GRID.size))
+    runs = np.arange(len(hits))
+    best_ll = np.full(len(hits), -np.inf)
+    best = np.zeros(len(hits), dtype=np.intp)
     block = 2**15 // len(mult)
     with np.errstate(divide="ignore"):
+        # a running argmax over the blocks: a later block wins only when
+        # strictly greater, so ties keep the first maximum, as np.argmax
         for start in range(0, _THETA_GRID.size, block):
-            ll[:, start:start + block] = weights @ table[:, start:start + block]
-        best = _THETA_GRID[np.argmax(ll, axis=1)]
+            ll = weights @ table[:, start:start + block]
+            arg = np.argmax(ll, axis=1)
+            top = ll[runs, arg]
+            better = top > best_ll
+            best_ll[better] = top[better]
+            best[better] = arg[better] + start
+        best = _THETA_GRID[best]
         step = _THETA_GRID[1]
         lo = np.maximum(0.0, best - step)
         hi = np.minimum(math.pi / 2.0, best + step)
@@ -242,7 +253,7 @@ def _mlqae_theta(levels, shots, hits) -> np.ndarray:
         ll = np.zeros_like(local)
         for j, k in enumerate(mult[:, 0]):
             ll += weights[:, j, None] * _log_abs(np.sin if j < n_sin else np.cos, k * local)
-    return local[np.arange(len(hits)), np.argmax(ll, axis=1)]
+    return local[runs, np.argmax(ll, axis=1)]
 
 
 def mlqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None = None):
@@ -534,11 +545,58 @@ def _lcu_group_probs(groups, theta: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, 1.0, out=p)
 
 
-def _lcu_posterior_matrices(groups, grid: np.ndarray):
-    """log P(1) and log P(0) for every group across the theta grid."""
-    p = _lcu_group_probs(groups, grid)
+_POSTERIOR_GRID = np.linspace(0.0, math.pi / 2.0, DEFAULT_POSTERIOR_GRID)
+
+# log P(1) and log P(0) of the LCU shot groups on _POSTERIOR_GRID, for one
+# p_max_fail at a time, as (array, rows filled).  The rows are those of the
+# EIS levels m = 0, 1, 2, 4, ..., _LCU_CACHED_MAX_M in _lcu_shot_plan's
+# order (one row for m = 0 and 44 per level, 80 KB per row and table),
+# filled level by level on first use: 35 MB for budgets up to 4,000 and
+# 42 MB once full, a size reserved up front but resident only as written.
+# A schedule of these levels alone reads a prefix view; its off-ladder
+# level m' and any level above the cap are computed per call.  Rows are
+# written only under the lock and only past the filled count, so views of
+# filled rows stay valid while qae-sweep threads extend or replace the
+# array.
+_LCU_CACHED_MAX_M = 32
+_LCU_CACHED_ROWS = 1 + SHOTS_OTHER * _LCU_CACHED_MAX_M.bit_length()
+_LCU_TABLE_CACHE: dict[float, tuple[np.ndarray, int]] = {}
+_LCU_TABLE_LOCK = threading.Lock()
+
+
+def _lcu_log_rows(groups, out: np.ndarray) -> None:
+    """Write log P(1) and log P(0) of every group across the posterior
+    grid into ``out[0]`` and ``out[1]``."""
+    p = _lcu_group_probs(groups, _POSTERIOR_GRID)
     eps = 1e-300
-    return np.log(p + eps), np.log(1.0 - p + eps)
+    np.log(np.add(p, eps, out=out[0]), out=out[0])
+    np.subtract(1.0, p, out=p)
+    np.log(np.add(p, eps, out=p), out=out[1])
+
+
+def _lcu_log_tables(groups, p_max_fail: float) -> np.ndarray:
+    """log P(1) and log P(0) of the ``_lcu_shot_plan`` groups across the
+    posterior grid, as one (2, groups, grid) array: a view of
+    ``_LCU_TABLE_CACHE`` when every group is on its cached levels."""
+    n_cached = sum(1 for (m, _, _), _ in groups if m <= _LCU_CACHED_MAX_M and m & (m - 1) == 0)
+    with _LCU_TABLE_LOCK:
+        table, filled = _LCU_TABLE_CACHE.get(p_max_fail, (None, 0))
+        if table is None:
+            _LCU_TABLE_CACHE.clear()
+            table = np.empty((2, _LCU_CACHED_ROWS, _POSTERIOR_GRID.size))
+        while filled < n_cached:  # one EIS level at a time
+            end = filled + 1
+            while end < n_cached and groups[end][0][0] == groups[filled][0][0]:
+                end += 1
+            _lcu_log_rows(groups[filled:end], table[:, filled:end])
+            filled = end
+        _LCU_TABLE_CACHE[p_max_fail] = (table, filled)
+    if n_cached == len(groups):
+        return table[:, :n_cached]
+    out = np.empty((2, len(groups), _POSTERIOR_GRID.size))
+    out[:, :n_cached] = table[:, :n_cached]
+    _lcu_log_rows(groups[n_cached:], out[:, n_cached:])
+    return out
 
 
 def lcu_from_amplitude(
@@ -561,16 +619,16 @@ def lcu_from_amplitude(
     probs = _lcu_group_probs(groups, np.array([math.asin(math.sqrt(a))]))[:, 0]
     rng = np.random.default_rng(seed)
     hits = rng.binomial(counts, probs, size=(n_runs, len(groups)))
-    grid = np.linspace(0.0, math.pi / 2.0, DEFAULT_POSTERIOR_GRID)
-    log1, log0 = _lcu_posterior_matrices(groups, grid)
-    sin2 = np.sin(grid) ** 2
+    log1, log0 = _lcu_log_tables(groups, p_max_fail)
+    sin2 = np.sin(_POSTERIOR_GRID) ** 2
     a_hat = np.empty(n_runs)
-    chunk = max(1, int(2e8 // (grid.size * 8)))
+    chunk = max(1, int(2e8 // (_POSTERIOR_GRID.size * 8)))
     for start in range(0, n_runs, chunk):
         h = hits[start:start + chunk]
-        ll = h.astype(np.float64) @ log1 + (counts - h).astype(np.float64) @ log0
-        ll -= ll.max(axis=1, keepdims=True)
-        w = np.exp(ll)
+        w = h.astype(np.float64) @ log1  # the log-likelihood, then the weights
+        w += (counts - h).astype(np.float64) @ log0
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
         a_hat[start:start + chunk] = (w @ sin2) / w.sum(axis=1)
     np.clip(a_hat, 0.0, 1.0, out=a_hat)
     if repeats is not None:

@@ -133,13 +133,20 @@ def bootstrap_ci(samples, statistic, level: float = 0.68,
 def _bca(point: float, boot: np.ndarray, jack: np.ndarray,
          level: float) -> tuple[float, float]:
     """The BCa interval from a statistic's point value, its bootstrap
-    replicates and its leave-one-out (jackknife) values."""
+    replicates and its leave-one-out (jackknife) values.
+
+    NaN replicates (a statistic undefined on, say, an all-equal resample)
+    are dropped; the interval is NaN only when no bootstrap replicate is
+    left."""
+    boot, jack = boot[~np.isnan(boot)], jack[~np.isnan(jack)]
+    if boot.size == 0:
+        return (float("nan"), float("nan"))
     n_resamples = boot.size
     below = float(np.sum(boot < point) + 0.5 * np.sum(boot == point))
     frac = min(max(below / n_resamples, 1.0 / (2 * n_resamples)),
                1.0 - 1.0 / (2 * n_resamples))
     z0 = float(ndtri(frac))
-    jm = jack.mean()
+    jm = jack.mean() if jack.size else 0.0
     num = float(np.sum((jm - jack) ** 3))
     den = float(np.sum((jm - jack) ** 2)) ** 1.5
     a = num / (6.0 * den) if den > 0 else 0.0

@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -167,7 +170,8 @@ def test_posterior_contracts_with_budget():
 
 def _mlqae_theta_inline(levels, shots, hits):
     """_mlqae_theta with the coarse log-likelihood table computed in-line,
-    block by block, at every call."""
+    block by block, at every call, into the whole (repeats x grid) matrix
+    that one argmax then scans."""
     grid = qae._THETA_GRID
     weights = np.concatenate((hits, shots - hits), axis=1) * 2.0
     used = weights.any(axis=0)
@@ -196,9 +200,10 @@ def _mlqae_theta_inline(levels, shots, hits):
 @pytest.mark.parametrize("repeats", [1, 40])
 def test_mlqae_theta_equals_inline_table(repeats):
     # budgets with and without an off-ladder level m', and amplitudes 0 and
-    # 1, where every repeat leaves the sin or the cos terms unweighed
-    for a in (0.0, 0.02, 0.3, 0.5, 0.77, 1.0):
-        for q in (1, 66, 200, 300, 1000, 4321, 10_000, 50_000):
+    # 1, where every repeat leaves the sin or the cos terms unweighed, and
+    # next to them
+    for a in (0.0, 1e-9, 0.02, 0.3, 0.5, 0.77, 0.999, 1.0):
+        for q in (1, 2, 66, 200, 300, 1000, 4321, 10_000, 50_000, 200_000):
             for seed in (0, 5):
                 schedule = eis_schedule(q)
                 levels = np.array([m for m, _ in schedule])
@@ -220,6 +225,17 @@ def test_mlqae_tables_kept_for_eis_levels_only(monkeypatch):
     ladder = {0} | {2**k for k in range(20)}
     assert seen - ladder  # off-ladder levels m' were run ...
     assert set(qae._MLQAE_TABLE_CACHE) == seen & ladder  # ... and not kept
+
+
+def test_mlqae_never_holds_the_likelihood_matrix():
+    mlqae_from_amplitude(0.3, 4000, 1, repeats=2)  # the EIS tables
+    tracemalloc.start()
+    try:
+        mlqae_from_amplitude(0.3, 4000, 1, repeats=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * qae.MLQAE_GRID * 8
 
 
 # ---------------------------------------------------------------- IQAE
@@ -400,6 +416,122 @@ def test_lcu_likelihood_array_matches_scalar():
                 assert vec.shape == thetas.shape
                 for t, v in zip(thetas, vec):
                     assert abs(v - lcu_likelihood(cat, beta, m, float(t))) < 1e-14
+
+
+def _lcu_posterior_matrices(groups, grid):
+    """The LCU log-likelihood tables as they were built at every call."""
+    p = qae._lcu_group_probs(groups, grid)
+    eps = 1e-300
+    return np.log(p + eps), np.log(1.0 - p + eps)
+
+
+def _lcu_per_call(a, q, p_max_fail, seed, repeats=None):
+    """lcu_from_amplitude with per-call tables and its former posterior
+    arithmetic: (a_hat, uses_expected_total), or the array of a_hat."""
+    n_runs = 1 if repeats is None else repeats
+    groups = qae._lcu_shot_plan(q, p_max_fail)
+    counts = np.array([n for _, n in groups])
+    probs = qae._lcu_group_probs(groups, np.array([math.asin(math.sqrt(a))]))[:, 0]
+    rng = np.random.default_rng(seed)
+    hits = rng.binomial(counts, probs, size=(n_runs, len(groups)))
+    grid = np.linspace(0.0, math.pi / 2.0, qae.DEFAULT_POSTERIOR_GRID)
+    log1, log0 = _lcu_posterior_matrices(groups, grid)
+    sin2 = np.sin(grid) ** 2
+    a_hat = np.empty(n_runs)
+    chunk = max(1, int(2e8 // (grid.size * 8)))
+    for start in range(0, n_runs, chunk):
+        h = hits[start:start + chunk]
+        ll = h.astype(np.float64) @ log1 + (counts - h).astype(np.float64) @ log0
+        ll -= ll.max(axis=1, keepdims=True)
+        w = np.exp(ll)
+        a_hat[start:start + chunk] = (w @ sin2) / w.sum(axis=1)
+    np.clip(a_hat, 0.0, 1.0, out=a_hat)
+    if repeats is not None:
+        return a_hat
+    failures = 0
+    for (_, cat, beta), n in groups:
+        pf = math.sin(beta) ** 2
+        if cat == 0 or pf == 0.0:
+            continue
+        failures += int(rng.negative_binomial(n, 1.0 - pf))
+    return a_hat[0], float(q + failures)
+
+
+def _cached_levels(q):
+    return [m for m, _ in eis_schedule(q) if m <= qae._LCU_CACHED_MAX_M and m & (m - 1) == 0]
+
+
+def test_lcu_cached_tables_equal_per_call_tables(monkeypatch):
+    monkeypatch.setattr(qae, "_LCU_TABLE_CACHE", {})
+    # 300, 10^3, 1,234 and 4,000 run cached levels only; 800 (m' = 3), 1,500
+    # (m' = 7) and 10^4 (m' = 46) add an off-ladder level; 11,550 and
+    # 33,333 run ladder levels above the cap (m = 64, 128)
+    budgets = [300, 800, 1000, 1234, 1500, 4000, 10_000, 11_550, 33_333]
+    assert [len(_cached_levels(q)) == len(eis_schedule(q)) for q in budgets] == [
+        True, False, True, True, False, True, False, False, False]
+    mixed = [4000, 300, 33_333, 1000, 1234, 800, 11_550, 1500, 10_000]
+    runs = [(q, 0.5) for q in budgets] + [(q, 0.2) for q in reversed(budgets)]
+    runs += [(q, (0.5, 0.2)[i % 3 > 0]) for i, q in enumerate(mixed)]
+    for i, (q, p_max_fail) in enumerate(runs):
+        a = (0.15, 0.5, 0.85, 0.999)[i % 4]
+        res = lcu_from_amplitude(a, q, p_max_fail, seed=i)
+        want, want_uses = _lcu_per_call(a, q, p_max_fail, i)
+        assert np.float64(res.a_hat).tobytes() == want.tobytes(), (q, p_max_fail)
+        assert res.uses_expected_total == want_uses, (q, p_max_fail)
+        got = lcu_from_amplitude(a, q, p_max_fail, seed=i + 100, repeats=40)
+        assert got.tobytes() == _lcu_per_call(a, q, p_max_fail, i + 100, 40).tobytes(), (q, p_max_fail)
+    # the cache holds one p_max_fail, the last, and only the rows of the
+    # cached ladder levels run since it was set: 1,500 filled m <= 4 and
+    # 10^4 the rest, up to the cap, but not its m' = 46
+    (p_max_fail, (table, filled)), = qae._LCU_TABLE_CACHE.items()
+    assert p_max_fail == 0.2 and filled == qae._LCU_CACHED_ROWS == 1 + 44 * 6
+    groups = [g for g in qae._lcu_shot_plan(10_000, 0.2) if g[0][0] <= qae._LCU_CACHED_MAX_M]
+    ref = np.stack(_lcu_posterior_matrices(groups, qae._POSTERIOR_GRID))
+    assert table[:, :filled].tobytes() == ref.tobytes()
+    # a dict whose name ends in _CACHE is what perfbench's clear_module_caches empties
+    assert isinstance(qae._LCU_TABLE_CACHE, dict)
+    assert [k for k, v in vars(qae).items() if v is qae._LCU_TABLE_CACHE] == ["_LCU_TABLE_CACHE"]
+
+
+def test_lcu_cache_fills_only_the_levels_run(monkeypatch):
+    monkeypatch.setattr(qae, "_LCU_TABLE_CACHE", {})
+    lcu_from_amplitude(0.3, 1500, 0.5, seed=1)  # levels 0, 1, 2, 4 and m' = 7
+    assert qae._LCU_TABLE_CACHE[0.5][1] == 1 + 44 * 3
+    lcu_from_amplitude(0.3, 300, 0.5, seed=1)
+    assert qae._LCU_TABLE_CACHE[0.5][1] == 1 + 44 * 3
+    qae._LCU_TABLE_CACHE.clear()
+    assert lcu_from_amplitude(0.3, 4000, 0.5, seed=1) == lcu_from_amplitude(0.3, 4000, 0.5, seed=1)
+    assert qae._LCU_TABLE_CACHE[0.5][1] == 1 + 44 * 5
+
+
+def test_lcu_cache_shared_by_threads(monkeypatch):
+    # qae-sweep runs sweeps in threads (QMCI_THREADS): calls that fill,
+    # extend and replace the cache at once must still give the per-call
+    # results; a refill of rows another thread reads would not
+    monkeypatch.setattr(qae, "_LCU_TABLE_CACHE", {})
+    jobs = [(q, p_max_fail) for p_max_fail in (0.5, 0.2) for q in (300, 1000, 1500, 4000, 10_000)]
+    jobs = [jobs[i] for i in np.random.default_rng(3).permutation(len(jobs) * 3) % len(jobs)]
+    want = {job: _lcu_per_call(0.3, *job, 7, 8).tobytes() for job in set(jobs)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda job: lcu_from_amplitude(0.3, *job, 7, repeats=8), jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [g.tobytes() for g in got] == [want[job] for job in jobs]
+    assert len(qae._LCU_TABLE_CACHE) == 1
+
+
+def test_lcu_warm_call_reads_the_cache_in_place():
+    lcu_from_amplitude(0.3, 4000, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        lcu_from_amplitude(0.3, 4000, 0.5, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 221 * qae.DEFAULT_POSTERIOR_GRID * 8  # one of its two tables
 
 
 def test_lcu_angle_variety_span():

@@ -8,6 +8,7 @@ from qmci.qae import estimate_amplitude
 from qmci.robustness import (
     EstimatorStats,
     amplitude_sweep,
+    _bca,
     bootstrap_ci,
     estimator_stats,
 )
@@ -143,6 +144,28 @@ def test_sweep_cis_contain_point_estimates():
     for metric in ("bias", "rmse", "skewness", "excess_kurtosis"):
         lo, hi = cell[f"{metric}_ci"]
         assert lo <= cell[metric] + 1e-9 and cell[metric] - 1e-9 <= hi
+
+
+def test_sweep_interval_finite_when_some_resamples_are_flat():
+    # 98 of the 100 estimates are 0, so some bootstrap resamples are
+    # all-equal and their skewness and kurtosis are undefined
+    rep = amplitude_sweep("PAM", [0.002], [10], repeats=100, n_resamples=100)
+    cell = rep.cells[(0.002, 10)]
+    assert math.isfinite(cell["skewness"])
+    for metric in ("skewness", "excess_kurtosis"):
+        lo, hi = cell[f"{metric}_ci"]
+        assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi
+
+
+def test_bca_drops_nan_replicates():
+    gen = np.random.default_rng(7)
+    boot, jack = gen.normal(size=200), gen.normal(size=50)
+    nan = float("nan")
+    with_nan = _bca(0.1, np.insert(boot, [0, 17, 200], nan), np.insert(jack, 3, nan), 0.68)
+    assert with_nan == _bca(0.1, boot, jack, 0.68)
+    assert all(math.isfinite(v) for v in with_nan)
+    assert all(math.isnan(v) for v in _bca(0.1, np.full(100, nan), jack, 0.68))
+    assert all(math.isfinite(v) for v in _bca(0.1, boot, np.full(50, nan), 0.68))
 
 
 def test_sweep_deterministic_bytes():

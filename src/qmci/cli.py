@@ -5,9 +5,10 @@ Subcommands: ``dist load|metrics|train``, ``estimate``, ``resources``,
 ``qae-sweep``.  One config file per invocation (single positional
 argument), outputs under ``--out-dir`` (default: the config's directory).
 All randomness flows from the config seed; outputs are byte-identical
-across reruns.  Exit codes: 0 success, 2 config/schema error, 3 numeric
-failure.  Multiple sweep configurations run in a thread pool capped by
-the ``QMCI_THREADS`` environment variable.
+across reruns.  Exit codes: 0 success, 2 config/schema error (an
+instrument too large to price included), 3 numeric failure.  Multiple
+sweep configurations run in a thread pool capped by the ``QMCI_THREADS``
+environment variable.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from . import pbuilder as pb_mod
 from . import qae as qae_mod
 from . import resources as res_mod
 from . import robustness as rob_mod
+from .simulator import CircuitTooLarge
 
 
 class SchemaError(Exception):
@@ -480,7 +482,7 @@ def main(argv=None) -> int:
             paths = cmd_resources(cfg, out_dir)
         else:
             paths = cmd_qae_sweep(cfg, out_dir)
-    except (SchemaError, KeyError, TypeError) as e:
+    except (SchemaError, KeyError, TypeError, CircuitTooLarge) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 from .circuit import QuantumCircuit
 from .gates import gate
-from .simulator import apply_gate, marginal_pmf, simulate, zero_state
+from .simulator import apply_gate, exact_marginal, simulate, zero_state
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,8 @@ class DistributionCircuit:
         )
 
     def dim_pmf(self, dim: int) -> np.ndarray:
-        """Exact marginal PMF of one dimension (simulates the circuit)."""
-        state = simulate(self.circuit)
-        return marginal_pmf(state, self.dims[dim].qubits)
+        """Exact marginal PMF of one dimension."""
+        return exact_marginal(self.circuit, self.dims[dim].qubits)
 
     def to_dict(self) -> dict:
         return {

@@ -29,6 +29,7 @@ import numpy as np
 from .circuit import QuantumCircuit
 from .distributions import DistributionCircuit
 from .gates import gate
+from .simulator import exact_marginal
 from . import qae as qae_mod
 
 QUANTITY_KINDS = (
@@ -524,20 +525,6 @@ def _substream_seed(seed: int, m: int, trig: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
-_PMF_CACHE: dict = {}
-
-
-def _cached_pmf(circuit, qubits) -> np.ndarray:
-    from .simulator import marginal_pmf, simulate
-
-    key = (circuit.key(), tuple(qubits))
-    if key not in _PMF_CACHE:
-        if len(_PMF_CACHE) > 256:
-            _PMF_CACHE.clear()
-        _PMF_CACHE[key] = marginal_pmf(simulate(circuit), qubits)
-    return _PMF_CACHE[key]
-
-
 def qmci_estimate(
     dc: DistributionCircuit,
     spec: QuantitySpec,
@@ -561,7 +548,7 @@ def qmci_estimate(
     plan = plan_terms(dc, spec, dim, qae_kind, q_total, target_rmse, condition)
     q_total = plan.q_total
     if spec.kind == "BernoulliQubit":
-        a_val = float(_cached_pmf(dc.circuit, [plan.cond_qubit])[1])
+        a_val = float(exact_marginal(dc.circuit, [plan.cond_qubit])[1])
         res = qae_mod.estimate_amplitude(qae_kind, a_val, q_total,
                                          _substream_seed(seed, 0, "cos"), lcu_p_max_fail)
         bound = plan.c_qae / (q_total if res.lam == 2 else math.sqrt(q_total))
@@ -570,13 +557,13 @@ def qmci_estimate(
     d = dc.dims[dim]
     conditional = plan.x_star_n is not None
     if conditional:
-        joint = _cached_pmf(dc.circuit, list(d.qubits) + [plan.cond_qubit])
+        joint = exact_marginal(dc.circuit, list(d.qubits) + [plan.cond_qubit])
         p_x = joint[1::2]  # P(x, indicator = 1)
         p_rest = float(joint[0::2].sum())
     else:
-        p_x = _cached_pmf(dc.circuit, list(d.qubits))
+        p_x = exact_marginal(dc.circuit, list(d.qubits))
 
-    # per-harmonic amplitudes straight from the exactly simulated PMF;
+    # per-harmonic amplitudes straight from the exact marginal;
     # identical to simulating the rotation-bank circuit of build_A_circuit
     # (the test suite pins that equivalence to 1e-10)
     series = spec.series

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -483,3 +484,107 @@ def test_dump_json_maps_non_finite_floats():
 
     doc = json.loads(_dump_json({"a": [float("inf"), -float("inf"), float("nan"), 1.5]}))
     assert doc == {"a": ["inf", "-inf", None, 1.5]}
+
+
+# ---------------------------------------------------------------- paper-scale pricing
+
+
+def _ry_cnot_probs(circuit) -> np.ndarray:
+    """Basis probabilities of a Ry/CNOT circuit on |0...0>, by axis moves."""
+    n = circuit.n_qubits
+    psi = np.zeros([2] * n)
+    psi[(0,) * n] = 1.0
+    for g in circuit.gates:
+        if g.kind == "Ry":
+            q, (theta,) = g.qubits[0], g.params
+            c, s = math.cos(theta / 2), math.sin(theta / 2)
+            a, b = np.take(psi, 0, axis=q), np.take(psi, 1, axis=q)
+            psi = np.stack([c * a - s * b, s * a + c * b], axis=q)
+        else:
+            assert g.kind == "CNOT"
+            ctl, tgt = g.qubits
+            sel = [slice(None)] * n
+            sel[ctl] = 1
+            psi[tuple(sel)] = np.flip(psi[tuple(sel)], axis=tgt - (tgt > ctl)).copy()
+    return (psi**2).reshape(-1)
+
+
+def _pushed_rows(circuit, unit_circuit, n_slices):
+    """(basis states as integers, probabilities) after an instrument circuit
+    whose first gates are ``n_slices`` copies of the unit loader on the
+    leading qubits and whose other gates are permutations."""
+    n, k = circuit.n_qubits, unit_circuit.n_qubits
+    prob = np.ones(1)
+    for _ in range(n_slices):
+        prob = np.outer(prob, _ry_cnot_probs(unit_circuit)).ravel()
+    states = np.arange(prob.size, dtype=np.int64) << (n - k * n_slices)
+    for g in circuit.gates[n_slices * len(unit_circuit.gates):]:
+        assert g.kind in ("X", "CNOT", "Toffoli", "MultiControlledX")
+        t = 1 << (n - 1 - g.qubits[-1])
+        c = sum(1 << (n - 1 - q) for q in g.qubits[:-1])
+        states ^= np.where(states & c == c, t, 0)
+    return states, prob
+
+
+def _code(states, qubits, n):
+    code = np.zeros_like(states)
+    for q in qubits:
+        code = (code << 1) | ((states >> (n - 1 - q)) & 1)
+    return code
+
+
+@pytest.mark.parametrize("kind,extra,n_qubits", [
+    ("Barrier", {"barrier_ratio": 1.3}, 36),
+    ("Lookback", {}, 49),
+])
+def test_paper_scale_instrument_prices_within_bound(tmp_path, kind, extra, n_qubits):
+    # two slices of the published 6-qubit loader: past the dense simulator,
+    # priced on the 4,096-row support
+    from qmci.distributions import standard_circuit
+    from qmci.pbuilder import InstrumentSpec, build_instrument
+
+    spec = {"instrument": kind, "space": "return", "n_slices": 2, "total_volatility": 0.3,
+            "strike_ratio": 1.05, "q_budget": 2000, **extra}
+    cfg = write(tmp_path, "c.json", {
+        "seed": 5, "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
+        "instrument": spec, "qae": {"qae": "MLQAE"},
+    })
+    assert run(["estimate", cfg, "--out-dir", tmp_path / "o"]) == 0
+    runs = json.loads((tmp_path / "o" / "qmci_result.json").read_text())["runs"]
+
+    unit = standard_circuit("gaussian_unit_6q")
+    dc, _ = build_instrument(unit, InstrumentSpec.from_dict(spec))
+    n = dc.circuit.n_qubits
+    assert n == n_qubits
+    states, prob = _pushed_rows(dc.circuit, unit.circuit, 2)
+    for r in runs:
+        c = r["config"]
+        on = _code(states, [dc.indicators[c["condition"]]], n) == 1
+        assert c["quantity"] == "ConditionalExponential"
+        d = dc.dims[c["dimension"]]
+        x = d.x_l + d.delta * _code(states, d.qubits, n)
+        truth = prob[on] @ np.exp(x[on]) + prob[~on].sum() * math.exp(c["x_star"])
+        assert abs(r["estimate"] - truth) <= 10 * r["rmse_bound"]
+
+
+def test_instrument_over_the_support_cap_exits_2(tmp_path, capsys):
+    # five slices of the 6-qubit loader: 2^30 support rows
+    import tracemalloc
+
+    from qmci.simulator import MAX_SUPPORT_ROWS
+
+    cfg = write(tmp_path, "c.json", {
+        "seed": 1, "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
+        "instrument": {"instrument": "Lookback", "space": "return", "n_slices": 5,
+                       "total_volatility": 0.3, "strike_ratio": 1.05, "q_budget": 2000},
+    })
+    tracemalloc.start()
+    try:
+        code = run(["estimate", cfg, "--out-dir", tmp_path / "o"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{2**30} rows" in err and str(MAX_SUPPORT_ROWS) in err
+    assert peak < 32 * 2**20  # the refusal comes before any support is allocated

@@ -12,7 +12,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .gates import Gate, gate
 
@@ -21,8 +21,12 @@ from .gates import Gate, gate
 class ResourceBox:
     """Opaque stand-in for a sub-circuit: counts only, no gates.
 
-    ``gate_counts`` maps gate kind to count (rebased kinds for NISQ use).
-    Depth fields default to the corresponding counts (fully sequential).
+    ``gate_counts`` maps gate kind to count (rebased kinds for NISQ use,
+    lowered kinds for fault-tolerant use).  An unset depth or T count is
+    the box's gate count of that class run sequentially: ``total_depth``
+    is all its gates, ``cnot_depth`` its CNOTs, ``tk1_depth`` its TK1s,
+    ``t_count`` its T and Tdg gates, and ``t_depth`` its T count plus the
+    T gates of its rotations.
     """
 
     n_qubits: int = 0
@@ -41,6 +45,32 @@ class ResourceBox:
     @property
     def total_gates(self) -> int:
         return sum(self.gate_counts.values())
+
+    def counts(self, classes: dict) -> dict:
+        """What the box adds to each count class of ``classes`` (gate kind
+        -> class; a kind outside it counts in class None).  A set
+        ``t_count`` is the box's count of class "t_count"."""
+        out = dict.fromkeys(classes.values(), 0)
+        for kind, n in self.gate_counts.items():
+            c = classes.get(kind)
+            out[c] = out.get(c, 0) + n
+        if self.t_count is not None and "t_count" in out:
+            out["t_count"] = self.t_count
+        return out
+
+    def depth(self, chain: str, cost: dict, counts: dict) -> int:
+        """What the box adds to depth ``chain``: its field of that name if
+        set, else its ``counts`` run sequentially at ``cost`` per gate of
+        each class."""
+        d = getattr(self, chain)
+        return d if d is not None else sum(w * counts.get(c, 0) for c, w in cost.items())
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ResourceBox":
+        return cls(**d)
 
 
 class QuantumCircuit:
@@ -79,9 +109,7 @@ class QuantumCircuit:
         for g in other.gates:
             out.add(Gate(g.kind, g.params, tuple(q + offset for q in g.qubits)))
         for b in other.boxes:
-            nb = ResourceBox(**{**b.__dict__})
-            nb.placement = len(self.gates) + b.placement
-            out.boxes.append(nb)
+            out.boxes.append(replace(b, placement=len(self.gates) + b.placement))
         return out
 
     def widened(self, n_qubits: int) -> "QuantumCircuit":
@@ -94,10 +122,7 @@ class QuantumCircuit:
         return out
 
     def copy(self) -> "QuantumCircuit":
-        out = QuantumCircuit(self.n_qubits, self.name)
-        out.gates = list(self.gates)
-        out.boxes = list(self.boxes)
-        return out
+        return self.widened(self.n_qubits)
 
     def inverse(self) -> "QuantumCircuit":
         if self.boxes:
@@ -106,9 +131,6 @@ class QuantumCircuit:
         for g in reversed(self.gates):
             out.extend(g.inverse_gates())
         return out
-
-    def n_gates(self) -> int:
-        return len(self.gates) + sum(b.total_gates for b in self.boxes)
 
     def key(self):
         """Hashable identity used for memoising exact simulations."""
@@ -133,14 +155,7 @@ class QuantumCircuit:
         if self.name:
             d["name"] = self.name
         if self.boxes:
-            d["boxes"] = [
-                {
-                    "n_qubits": b.n_qubits,
-                    "gate_counts": b.gate_counts,
-                    "placement": b.placement,
-                }
-                for b in self.boxes
-            ]
+            d["boxes"] = [b.to_dict() for b in self.boxes]
         return d
 
     def to_json(self, **kw) -> str:
@@ -151,14 +166,7 @@ class QuantumCircuit:
         qc = cls(int(d["n_qubits"]), d.get("name", ""))
         for g in d["gates"]:
             qc.append(g["kind"], g["qubits"], *g.get("params", []))
-        for b in d.get("boxes", []):
-            qc.boxes.append(
-                ResourceBox(
-                    n_qubits=b.get("n_qubits", 0),
-                    gate_counts=dict(b.get("gate_counts", {})),
-                    placement=b.get("placement", 0),
-                )
-            )
+        qc.boxes = [ResourceBox.from_dict(b) for b in d.get("boxes", [])]
         return qc
 
     @classmethod

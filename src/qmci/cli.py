@@ -81,6 +81,37 @@ def _dump_json(obj) -> str:
 # distribution sources
 
 
+_PDFS = {"gaussian": dist_mod.gaussian_pdf, "lognormal": dist_mod.lognormal_pdf}
+
+
+def _read_pmf(where: str, path=None, pdf="gaussian", mu=0.0, sigma=1.0,
+              grid=None) -> np.ndarray:
+    """The PMF of a distribution or target block: the lines of the CSV file
+    at ``path``, or else ``pdf`` discretised on ``grid`` = (n_qubits, x_l,
+    delta).  Anything that does not give 2^n finite non-negative entries
+    (2^n_qubits with a grid), and a sigma that is not positive, is a config
+    error."""
+    if path is not None:
+        try:
+            with open(path) as f:
+                pmf = np.array([float(line) for line in f if line.strip()])
+        except (OSError, ValueError) as e:
+            raise SchemaError(f"{where}: cannot read a PMF from {path!r}: {e}") from None
+    else:
+        if pdf not in _PDFS:
+            raise SchemaError(f"{where}: unknown pdf {pdf!r}")
+        if not (_is_finite(mu) and _is_finite(sigma) and sigma > 0):
+            raise SchemaError(f"{where}: mu must be finite and sigma positive, "
+                              f"got mu={mu!r}, sigma={sigma!r}")
+        pmf = dist_mod.discretize_pdf(lambda x: _PDFS[pdf](x, mu, sigma), *grid)
+    n = len(pmf)
+    if n == 0 or n & (n - 1) or (grid is not None and n != 2 ** grid[0]):
+        raise SchemaError(f"{where}: a PMF needs 2^n entries, got {n}")
+    if not np.all(np.isfinite(pmf) & (pmf >= 0)):
+        raise SchemaError(f"{where}: PMF entries must be finite and non-negative")
+    return pmf
+
+
 def _load_distribution(cfg: dict) -> dist_mod.DistributionCircuit:
     _check_keys(
         cfg,
@@ -92,38 +123,25 @@ def _load_distribution(cfg: dict) -> dist_mod.DistributionCircuit:
     if src == "standard":
         return dist_mod.standard_circuit(cfg["kind"])
     if src == "pmf_csv":
-        with open(cfg["path"]) as f:
-            pmf = np.array([float(line) for line in f if line.strip()])
-        dc = dist_mod.exact_pmf_loader(pmf)
-        return dist_mod.rescale(dc, 0, cfg.get("x_l", 0.0), cfg.get("delta", 1.0))
-    if src in ("gaussian", "lognormal"):
+        pmf = _read_pmf("distribution", path=cfg["path"])
+        x_l, delta = cfg.get("x_l", 0.0), cfg.get("delta", 1.0)
+    elif src in _PDFS:
         for key in ("n_qubits", "x_l", "delta"):
             if key not in cfg:
                 raise SchemaError(f"distribution: {src} needs {key}")
-        mu, sigma = cfg.get("mu", 0.0), cfg.get("sigma", 1.0)
-        pdf = (
-            (lambda x: dist_mod.gaussian_pdf(x, mu, sigma))
-            if src == "gaussian"
-            else (lambda x: dist_mod.lognormal_pdf(x, mu, sigma))
-        )
-        pmf = dist_mod.discretize_pdf(pdf, cfg["n_qubits"], cfg["x_l"], cfg["delta"])
-        dc = dist_mod.exact_pmf_loader(pmf)
-        return dist_mod.rescale(dc, 0, cfg["x_l"], cfg["delta"])
-    raise SchemaError(f"distribution: unknown source {src!r}")
+        x_l, delta = cfg["x_l"], cfg["delta"]
+        pmf = _read_pmf("distribution", pdf=src, mu=cfg.get("mu", 0.0),
+                        sigma=cfg.get("sigma", 1.0), grid=(cfg["n_qubits"], x_l, delta))
+    else:
+        raise SchemaError(f"distribution: unknown source {src!r}")
+    return dist_mod.rescale(dist_mod.exact_pmf_loader(pmf), 0, x_l, delta)
 
 
 def _target_pmf(cfg: dict, n_qubits: int, x_l: float, delta: float) -> np.ndarray:
     _check_keys(cfg, {"pdf", "mu", "sigma", "pmf_csv"}, set(), "target")
-    if "pmf_csv" in cfg:
-        with open(cfg["pmf_csv"]) as f:
-            return np.array([float(line) for line in f if line.strip()])
-    mu, sigma = cfg.get("mu", 0.0), cfg.get("sigma", 1.0)
-    pdf = (
-        (lambda x: dist_mod.gaussian_pdf(x, mu, sigma))
-        if cfg.get("pdf", "gaussian") == "gaussian"
-        else (lambda x: dist_mod.lognormal_pdf(x, mu, sigma))
-    )
-    return dist_mod.discretize_pdf(pdf, n_qubits, x_l, delta)
+    return _read_pmf("target", path=cfg.get("pmf_csv"), pdf=cfg.get("pdf", "gaussian"),
+                     mu=cfg.get("mu", 0.0), sigma=cfg.get("sigma", 1.0),
+                     grid=(n_qubits, x_l, delta))
 
 
 # --------------------------------------------------------------------------
@@ -185,7 +203,7 @@ def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
 # estimate
 
 
-_QAE_KEYS = {"qae", "p_max_fail", "seed"}
+_QAE_KEYS = {"qae", "p_max_fail"}
 _QUANTITY_KEYS = {"quantity", "dimension", "condition", "x_star", "target_rmse",
                   "q_total", "support_window"}
 

@@ -228,7 +228,7 @@ def exact_pmf_loader(pmf) -> DistributionCircuit:
         raise ValueError("pmf length must be a power of two")
     if np.any(pmf < 0):
         raise ValueError("pmf entries must be non-negative")
-    if abs(float(pmf.sum()) - 1.0) > 1e-9:
+    if not abs(float(pmf.sum()) - 1.0) <= 1e-9:
         raise ValueError(f"pmf sums to {pmf.sum()}, expected 1")
     qc = QuantumCircuit(n, "exact_pmf")
     # mass[v] = total probability of the length-j prefix v

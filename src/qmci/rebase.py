@@ -12,13 +12,18 @@ Fixed decompositions (documented because counts depend on them):
   the synthesis cost model charges per rotation); the NISQ rebase drops
   the zero-angle ones before fusing into TK1.
 
+Both passes share one expansion and differ only in how they map each CNOT
+or single-qubit gate it leaves; every counter is one walk over a compiled
+circuit, driven by a table from gate kind to count class.
+
 Depths use unit cost per gate and count the longest chain of gates
 sharing qubits; no peephole optimisation is attempted, so raw depths of
 hand-published circuits will exceed optimised published figures.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 
 from .circuit import QuantumCircuit
 from .gates import Gate, gate, single_qubit_matrix, zxz_angles
@@ -35,17 +40,9 @@ class NisqCounts:
     tk1_depth: int
 
     def __post_init__(self):
-        for f in (
-            "n_qubits",
-            "total_gates",
-            "cnot_count",
-            "tk1_count",
-            "total_depth",
-            "cnot_depth",
-            "tk1_depth",
-        ):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
 
 def _toffoli_clifford_t(a: int, b: int, t: int) -> list[Gate]:
@@ -138,12 +135,61 @@ def expand_controlled_rotation(g: Gate, keep_zero_rotations: bool) -> list[Gate]
     return seq
 
 
-def _mcx_ancilla_need(circuit: QuantumCircuit) -> int:
-    need = 0
-    for g in circuit.gates:
-        if g.kind == "MultiControlledX":
-            need = max(need, len(g.controls) - 2)
-    return need
+# gate kind -> count class, for the two compiled gate sets; a class or
+# chain named after a ResourceBox field takes that field's value when set
+_NISQ_CLASSES = {"CNOT": "cnot_count", "TK1": "tk1_count"}
+_FT_CLASSES = {
+    **dict.fromkeys(("Rx", "Ry", "Rz"), "rotation_count"),
+    **dict.fromkeys(("T", "Tdg"), "t_count"),
+    **dict.fromkeys(("CNOT", "H", "S"), "clifford_count"),
+}
+
+
+def _expand(circuit: QuantumCircuit, keep_zero_rotations: bool, gate_set,
+            leaf) -> QuantumCircuit:
+    """The expansion both compile passes share.
+
+    Clean ancillas for the widest multi-controlled X go at the top of the
+    register.  Toffoli, multi-controlled X and controlled rotations expand
+    into CNOT and single-qubit gates; a gate of the pass's ``gate_set``
+    stays as it is, and ``leaf`` maps any other to gates of the set.
+    """
+    extra = max((len(g.controls) - 2 for g in circuit.gates
+                 if g.kind == "MultiControlledX"), default=0)
+    n = circuit.n_qubits
+    out = QuantumCircuit(n + extra, circuit.name)
+    out.boxes = list(circuit.boxes)
+    ancillas = list(range(n, n + extra))
+
+    def emit(gates):
+        for g in gates:
+            k = g.kind
+            if k in gate_set:
+                out.add(g)
+            elif k == "Toffoli":
+                emit(_toffoli_clifford_t(*g.qubits))
+            elif k == "MultiControlledX":
+                emit(expand_mcx(g.controls, g.target, ancillas))
+            elif k in ("CRy", "CRx", "CRz"):
+                emit(expand_controlled_rotation(g, keep_zero_rotations))
+            else:
+                emit(leaf(g))
+
+    emit(circuit.gates)
+    return out
+
+
+def _tk1_leaf(g: Gate) -> tuple[Gate, ...]:
+    return (gate("TK1", g.qubits[0], *zxz_angles(single_qubit_matrix(g))),)
+
+
+def _rotation_clifford_t_leaf(g: Gate) -> tuple[Gate, ...]:
+    q = g.qubits[0]
+    if g.kind == "X":
+        # exact Clifford: X = H S S H  (avoids charging rotation synthesis)
+        return (gate("H", q), gate("S", q), gate("S", q), gate("H", q))
+    a, b, c = g.params  # TK1
+    return (gate("Rz", q, c), gate("Rx", q, b), gate("Rz", q, a))
 
 
 def lower_to_rotations_clifford_t(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -153,36 +199,7 @@ def lower_to_rotations_clifford_t(circuit: QuantumCircuit) -> QuantumCircuit:
     Toffoli and multi-controlled X expand to their exact Clifford+T forms.
     Statevector action is preserved up to global phase.
     """
-    extra = _mcx_ancilla_need(circuit)
-    n = circuit.n_qubits
-    out = QuantumCircuit(n + extra, circuit.name)
-    out.boxes = list(circuit.boxes)
-    ancillas = list(range(n, n + extra))
-    for g in circuit.gates:
-        k = g.kind
-        if k in ("CNOT", "H", "S", "T", "Tdg", "Rx", "Ry", "Rz"):
-            out.add(g)
-        elif k == "X":
-            # exact Clifford: X = H S S H  (avoids charging rotation synthesis)
-            q = g.qubits[0]
-            out.extend([gate("H", q), gate("S", q), gate("S", q), gate("H", q)])
-        elif k == "TK1":
-            a, b, c = g.params
-            q = g.qubits[0]
-            out.extend([gate("Rz", q, c), gate("Rx", q, b), gate("Rz", q, a)])
-        elif k in ("CRy", "CRx", "CRz"):
-            out.extend(expand_controlled_rotation(g, keep_zero_rotations=True))
-        elif k == "Toffoli":
-            out.extend(_toffoli_clifford_t(*g.qubits))
-        elif k == "MultiControlledX":
-            for tof in expand_mcx(g.controls, g.target, ancillas):
-                if tof.kind == "Toffoli":
-                    out.extend(_toffoli_clifford_t(*tof.qubits))
-                else:
-                    out.add(tof)
-        else:
-            raise ValueError(f"unknown gate kind {k}")
-    return out
+    return _expand(circuit, True, _FT_CLASSES, _rotation_clifford_t_leaf)
 
 
 def rebase_tk1_cnot(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -192,80 +209,71 @@ def rebase_tk1_cnot(circuit: QuantumCircuit) -> QuantumCircuit:
     go through their fixed Clifford+T decompositions first.  Action is
     preserved up to global phase (ancillas, if any, start and end in 0).
     """
-    extra = _mcx_ancilla_need(circuit)
-    n = circuit.n_qubits
-    out = QuantumCircuit(n + extra, circuit.name)
-    out.boxes = list(circuit.boxes)
-    ancillas = list(range(n, n + extra))
+    return _expand(circuit, False, _NISQ_CLASSES, _tk1_leaf)
 
-    def emit(g: Gate):
-        k = g.kind
-        if k == "CNOT":
-            out.add(g)
-        elif k == "TK1":
-            out.add(g)
-        elif k in ("X", "H", "S", "T", "Tdg", "Rx", "Ry", "Rz"):
-            a, b, c = zxz_angles(single_qubit_matrix(g))
-            out.append("TK1", g.qubits[0], a, b, c)
-        elif k in ("CRy", "CRx", "CRz"):
-            for sub in expand_controlled_rotation(g, keep_zero_rotations=False):
-                emit(sub)
-        elif k == "Toffoli":
-            for sub in _toffoli_clifford_t(*g.qubits):
-                emit(sub)
-        elif k == "MultiControlledX":
-            for sub in expand_mcx(g.controls, g.target, ancillas):
-                emit(sub)
-        else:
-            raise ValueError(f"unknown gate kind {k}")
 
-    for g in circuit.gates:
-        emit(g)
-    return out
+# --------------------------------------------------------------------------
+# counting
+
+# depth chain -> cost of one gate of each class; a box's gates of a kind
+# outside the class table count in class None
+_NISQ_CHAINS = {
+    "total_depth": {"cnot_count": 1, "tk1_count": 1, None: 1},
+    "cnot_depth": {"cnot_count": 1},
+    "tk1_depth": {"tk1_count": 1},
+}
+
+
+def _walk(circuit: QuantumCircuit, classes: dict, chains: dict, compiled: str):
+    """Count a compiled circuit: its gates per class, and every depth chain
+    in one pass over the gates.
+
+    ``classes`` maps every gate kind the circuit may hold to its count
+    class; any other kind raises.  ``chains`` maps a depth name to the
+    cost of one gate of each class, and a chain's depth is its costliest
+    path through gates that share qubits.  Each resource box then adds its
+    own counts and depths (``ResourceBox``).
+    """
+    tally = Counter([g.kind for g in circuit.gates])
+    for kind in tally:
+        if kind not in classes:
+            raise ValueError(f"circuit not {compiled}: found {kind}")
+    counts = dict.fromkeys(classes.values(), 0)
+    for kind, n in tally.items():
+        counts[classes[kind]] += n
+    step = {k: tuple(cost.get(c, 0) for cost in chains.values()) for k, c in classes.items()}
+    wires = [[0] * circuit.n_qubits for _ in chains]
+    if chains:
+        for g in circuit.gates:
+            qs = g.qubits
+            if len(qs) == 1:
+                q = qs[0]
+                for wire, w in zip(wires, step[g.kind]):
+                    wire[q] += w
+                continue
+            for wire, w in zip(wires, step[g.kind]):
+                d = max([wire[q] for q in qs]) + w
+                for q in qs:
+                    wire[q] = d
+    depths = {name: max(wire, default=0) for name, wire in zip(chains, wires)}
+    for b in circuit.boxes:
+        box = b.counts(classes)
+        for c, n in box.items():
+            counts[c] = counts.get(c, 0) + n
+        for name, cost in chains.items():
+            depths[name] += b.depth(name, cost, box)
+    return counts, depths
 
 
 def count_nisq(circuit: QuantumCircuit) -> NisqCounts:
     """Exact counts and longest-chain depths of a {TK1, CNOT} circuit."""
-    for g in circuit.gates:
-        if g.kind not in ("TK1", "CNOT"):
-            raise ValueError(f"circuit not rebased: found {g.kind}")
-    cnot = sum(1 for g in circuit.gates if g.kind == "CNOT")
-    tk1 = len(circuit.gates) - cnot
-    depth = [0] * circuit.n_qubits
-    cnot_depth = [0] * circuit.n_qubits
-    tk1_depth = [0] * circuit.n_qubits
-    for g in circuit.gates:
-        qs = g.qubits
-        d = max(depth[q] for q in qs) + 1
-        dc = max(cnot_depth[q] for q in qs) + (1 if g.kind == "CNOT" else 0)
-        dt = max(tk1_depth[q] for q in qs) + (1 if g.kind == "TK1" else 0)
-        for q in qs:
-            depth[q] = d
-            cnot_depth[q] = dc
-            tk1_depth[q] = dt
-    total_gates = len(circuit.gates)
-    total_depth = max(depth, default=0)
-    cnot_d = max(cnot_depth, default=0)
-    tk1_d = max(tk1_depth, default=0)
-    for b in circuit.boxes:
-        total_gates += b.total_gates
-        cnot += b.gate_counts.get("CNOT", 0)
-        tk1 += b.gate_counts.get("TK1", 0)
-        total_depth += b.total_depth if b.total_depth is not None else b.total_gates
-        cnot_d += (
-            b.cnot_depth if b.cnot_depth is not None else b.gate_counts.get("CNOT", 0)
-        )
-        tk1_d += (
-            b.tk1_depth if b.tk1_depth is not None else b.gate_counts.get("TK1", 0)
-        )
+    counts, depths = _walk(circuit, _NISQ_CLASSES, _NISQ_CHAINS, "rebased")
     return NisqCounts(
         n_qubits=circuit.n_qubits,
-        total_gates=total_gates,
-        cnot_count=cnot,
-        tk1_count=tk1,
-        total_depth=total_depth,
-        cnot_depth=cnot_d,
-        tk1_depth=tk1_d,
+        total_gates=sum(counts.values()),
+        cnot_count=counts["cnot_count"],
+        tk1_count=counts["tk1_count"],
+        **depths,
     )
 
 
@@ -278,49 +286,19 @@ class FtGateCounts:
     t_count_exact: int
     clifford_count: int
 
-    @property
-    def total_exact_gates(self) -> int:
-        return self.rotation_count + self.t_count_exact + self.clifford_count
-
 
 def count_ft_content(lowered: QuantumCircuit) -> FtGateCounts:
-    rot = t = cliff = 0
-    for g in lowered.gates:
-        if g.kind in ("Rx", "Ry", "Rz"):
-            rot += 1
-        elif g.kind in ("T", "Tdg"):
-            t += 1
-        elif g.kind in ("CNOT", "H", "S"):
-            cliff += 1
-        else:
-            raise ValueError(f"circuit not lowered: found {g.kind}")
-    for b in lowered.boxes:
-        rot += sum(b.gate_counts.get(k, 0) for k in ("Rx", "Ry", "Rz"))
-        t += b.t_count if b.t_count is not None else b.gate_counts.get("T", 0)
-        cliff += sum(b.gate_counts.get(k, 0) for k in ("CNOT", "H", "S"))
-    return FtGateCounts(lowered.n_qubits, rot, t, cliff)
+    counts, _ = _walk(lowered, _FT_CLASSES, {}, "lowered")
+    return FtGateCounts(
+        lowered.n_qubits,
+        counts["rotation_count"],
+        counts["t_count"],
+        counts["clifford_count"],
+    )
 
 
 def t_depth(lowered: QuantumCircuit, t_per_rotation: int) -> int:
     """Longest T-chain, charging ``t_per_rotation`` sequential T gates per
     rotation gate; T gates on distinct qubits may run simultaneously."""
-    depth = [0] * lowered.n_qubits
-    for g in lowered.gates:
-        if g.kind in ("T", "Tdg"):
-            w = 1
-        elif g.kind in ("Rx", "Ry", "Rz"):
-            w = t_per_rotation
-        else:
-            w = 0
-        d = max(depth[q] for q in g.qubits) + w
-        for q in g.qubits:
-            depth[q] = d
-    d = max(depth, default=0)
-    for b in lowered.boxes:
-        if b.t_depth is not None:
-            d += b.t_depth
-        else:
-            d += (b.t_count or 0) + t_per_rotation * sum(
-                b.gate_counts.get(k, 0) for k in ("Rx", "Ry", "Rz")
-            )
-    return d
+    chain = {"t_count": 1, "rotation_count": t_per_rotation}
+    return _walk(lowered, _FT_CLASSES, {"t_depth": chain}, "lowered")[1]["t_depth"]

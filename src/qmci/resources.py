@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 from scipy.optimize import brentq
@@ -191,19 +191,9 @@ def _tally(plan: QmciPlan, a: dict, q: dict, key: str):
     return totals, largest or dict.fromkeys(a, 0), levels
 
 
-_NISQ_FIELDS = (
-    "total_gates",
-    "cnot_count",
-    "tk1_count",
-    "total_depth",
-    "cnot_depth",
-    "tk1_depth",
-)
-
-
 def nisq_report(plan: QmciPlan) -> ResourceReport:
     """Totals and largest-circuit counts after rebasing to {TK1, CNOT}."""
-    a, q = ({f: getattr(c, f) for f in _NISQ_FIELDS} for c in plan.nisq_counts)
+    a, q = ({k: v for k, v in asdict(c).items() if k != "n_qubits"} for c in plan.nisq_counts)
     totals, largest, _ = _tally(plan, a, q, "total_gates")
     return ResourceReport(
         mode="nisq",
@@ -335,7 +325,5 @@ def ft_report(plan: QmciPlan, solution: FtSolution) -> ResourceReport:
 def insert_resource_box(circuit: QuantumCircuit, box: ResourceBox) -> QuantumCircuit:
     """Attach an opaque counted block; boxed circuits refuse simulation."""
     out = circuit.copy()
-    b = ResourceBox(**{**box.__dict__})
-    b.placement = min(max(0, b.placement), len(out.gates))
-    out.boxes.append(b)
+    out.boxes.append(replace(box, placement=min(max(0, box.placement), len(out.gates))))
     return out

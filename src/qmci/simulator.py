@@ -116,7 +116,7 @@ def simulate(circuit: QuantumCircuit, initial: np.ndarray | None = None) -> np.n
 
 
 def _check_norm(norm2: float, circuit: QuantumCircuit) -> None:
-    if abs(norm2 - 1.0) > 1e-12 + 8 * _EPS * (len(circuit.gates) + circuit.n_qubits):
+    if not abs(norm2 - 1.0) <= 1e-12 + 8 * _EPS * (len(circuit.gates) + circuit.n_qubits):
         raise ValueError(f"state norm is not 1: |psi|^2 = {norm2!r}")
 
 

@@ -588,3 +588,68 @@ def test_instrument_over_the_support_cap_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{2**30} rows" in err and str(MAX_SUPPORT_ROWS) in err
     assert peak < 32 * 2**20  # the refusal comes before any support is allocated
+
+
+@pytest.mark.parametrize("command", ["estimate", "resources"])
+def test_qae_seed_key_exits_2(tmp_path, command, capsys):
+    # nothing reads a seed in the qae block; the top-level seed is the one
+    cfg = {"seed": 1, "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
+           "quantity": {"quantity": "Mean", "q_total": 500},
+           "qae": {"qae": "MLQAE", "seed": 123}}
+    if command == "resources":
+        cfg["mode"] = "nisq"
+    assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+_GAUSSIAN_3Q = {"source": "gaussian", "n_qubits": 3, "mu": 0.0, "sigma": 0.1,
+                "x_l": -0.5, "delta": 1 / 7}
+_CSVS = {"non_numeric": "0.5\nabc\n0.25\n0.25\n", "length_3": "0.5\n0.25\n0.25\n",
+         "nan": "nan\n0.5\n0.25\n0.25\n", "negative": "-0.5\n1.0\n0.25\n0.25\n"}
+
+
+@pytest.mark.parametrize("bad", [
+    {"source": "pmf_csv", "path": "missing.csv"},
+    *({"source": "pmf_csv", "path": f"{name}.csv"} for name in _CSVS),
+    {**_GAUSSIAN_3Q, "sigma": 0},
+    {**_GAUSSIAN_3Q, "sigma": -0.1},
+    {**_GAUSSIAN_3Q, "sigma": "0.1"},
+    {**_GAUSSIAN_3Q, "source": "lognormal", "sigma": 0},
+    {**_GAUSSIAN_3Q, "mu": float("inf")},
+])
+def test_bad_distribution_exits_2(tmp_path, bad, capsys):
+    for name, text in _CSVS.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    if "path" in bad:
+        bad = {**bad, "path": str(tmp_path / bad["path"])}
+    cfg = write(tmp_path, "c.json", {"seed": 1, "distribution": bad,
+                                     "quantity": {"quantity": "Mean", "q_total": 500}})
+    assert run(["estimate", cfg, "--out-dir", tmp_path / "o"]) == 2
+    assert "config error: distribution" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("metrics", {"pmf_csv": "missing.csv"}),
+    *(("metrics", {"pmf_csv": f"{name}.csv"}) for name in _CSVS),
+    ("metrics", {"pmf_csv": "length_2.csv"}),
+    ("train", {"pmf_csv": "length_2.csv"}),
+    ("metrics", {"pdf": "gaussian", "sigma": 0}),
+    ("metrics", {"pdf": "cauchy"}),
+    ("train", {"pdf": "gaussian", "sigma": 0}),
+    ("train", {"pdf": "lognormal", "sigma": -1}),
+])
+def test_bad_target_exits_2(tmp_path, command, bad, capsys):
+    # a length_2 target is a PMF, but not on the 2^n_qubits grid
+    for name, text in {**_CSVS, "length_2": "0.5\n0.5\n"}.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    if "pmf_csv" in bad:
+        bad = {"pmf_csv": str(tmp_path / bad["pmf_csv"])}
+    if command == "metrics":
+        cfg = {"distribution": _GAUSSIAN_3Q, "target": bad}
+    else:
+        cfg = {"target": bad, "n_qubits": 2, "n_layers": 1}
+    assert run(["dist", command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+    assert "config error: target" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -301,3 +301,8 @@ def test_distribution_circuit_json_round_trip():
     back = DistributionCircuit.from_json(dc.to_json())
     assert back.dims == dc.dims
     assert back.circuit.gates == dc.circuit.gates
+
+
+def test_exact_pmf_loader_rejects_nan():
+    with pytest.raises(ValueError):
+        exact_pmf_loader(np.array([np.nan, 0.5, 0.25, 0.25]))

@@ -165,3 +165,22 @@ def test_counts_after_rebase_partition():
     rb = rebase_tk1_cnot(random_gfull_circuit(3, 20, rng))
     c = count_nisq(rb)
     assert c.total_gates == c.cnot_count + c.tk1_count
+
+
+def test_ft_counters_reject_unlowered():
+    from qmci.rebase import count_ft_content, t_depth
+
+    for count in (count_ft_content, lambda c: t_depth(c, 3)):
+        with pytest.raises(ValueError, match="not lowered: found TK1"):
+            count(QuantumCircuit(1).append("T", 0).append("TK1", 0, 1, 2, 3))
+    with pytest.raises(ValueError, match="not rebased: found H"):
+        count_nisq(QuantumCircuit(1).append("TK1", 0, 1, 2, 3).append("H", 0))
+
+
+def test_x_and_tk1_lower_to_exact_sequences():
+    qc = QuantumCircuit(1).append("X", 0).append("TK1", 0, 0.1, 0.2, 0.3)
+    lw = lower_to_rotations_clifford_t(qc)
+    assert [(g.kind, g.params) for g in lw.gates] == [
+        ("H", ()), ("S", ()), ("S", ()), ("H", ()),
+        ("Rz", (0.3,)), ("Rx", (0.2,)), ("Rz", (0.1,)),
+    ]

@@ -319,3 +319,89 @@ def test_resources_request_counts_each_circuit_once(tmp_path, monkeypatch, mode)
     counted, idle = (rebased, lowered) if mode == "nisq" else (lowered, rebased)
     assert len(counted) == len(set(counted)) == 2
     assert idle == []
+
+
+def test_box_t_count_and_t_depth_follow_one_rule():
+    # an unset T count is the box's T and Tdg gates; an unset T depth is
+    # that T count plus the T gates of its rotations, run sequentially
+    from qmci.rebase import count_ft_content, t_depth
+
+    def ft(box, t_rot=4):
+        qc = insert_resource_box(QuantumCircuit(1), box)
+        return count_ft_content(qc).t_count_exact, t_depth(qc, t_rot)
+
+    assert ft(ResourceBox(gate_counts={"T": 5})) == (5, 5)
+    assert ft(ResourceBox(gate_counts={"T": 2, "Tdg": 3, "Rz": 1})) == (5, 5 + 4)
+    assert ft(ResourceBox(gate_counts={"T": 5}, t_count=0)) == (0, 0)
+    assert ft(ResourceBox(gate_counts={"T": 5}, t_count=3, t_depth=2)) == (3, 2)
+
+
+def test_boxed_circuit_counts_survive_json_round_trip():
+    from qmci.rebase import count_ft_content, t_depth
+
+    rebased = QuantumCircuit(2).append("CNOT", (0, 1))
+    rebased = insert_resource_box(rebased, ResourceBox(
+        n_qubits=2, gate_counts={"CNOT": 10, "TK1": 4}, total_depth=3, cnot_depth=2,
+        tk1_depth=1))
+    lowered = QuantumCircuit(2).append("T", 0).append("Rz", 1, 0.3)
+    lowered = insert_resource_box(lowered, ResourceBox(
+        n_qubits=2, gate_counts={"T": 6, "Rz": 2, "H": 1}, t_count=4, t_depth=3))
+    for qc in (rebased, lowered):
+        back = QuantumCircuit.from_json(qc.to_json())
+        assert back.to_json() == qc.to_json()
+        assert back.boxes == qc.boxes
+    back = QuantumCircuit.from_json(rebased.to_json())
+    assert count_nisq(back) == count_nisq(rebased)
+    assert (count_nisq(back).total_depth, count_nisq(back).cnot_depth) == (4, 3)
+    back = QuantumCircuit.from_json(lowered.to_json())
+    assert count_ft_content(back) == count_ft_content(lowered)
+    assert count_ft_content(back).t_count_exact == 1 + 4
+    assert t_depth(back, 10) == t_depth(lowered, 10) == max(1, 10) + 3
+
+
+# totals and largest circuit of each report for a 2-slice Barrier on the
+# published six-qubit loader: any drift in the expansion order, ancilla
+# placement or chain depths of the compile layer changes them
+_BARRIER_REPORTS = {
+    ("MLQAE", "nisq"): (
+        {"cnot_count": 5004316, "cnot_depth": 3799868, "tk1_count": 6478706,
+         "tk1_depth": 3251768, "total_depth": 6796750, "total_gates": 11483022},
+        {"cnot_count": 22794, "cnot_depth": 17418, "tk1_count": 30159,
+         "tk1_depth": 15122, "total_depth": 31467, "total_gates": 52953}),
+    ("MLQAE", "ft"): (
+        {"t_count": 219046162, "t_depth": 119242058},
+        {"t_count": 927471, "t_depth": 504943}),
+    ("MLQAE", "ft_tight"): (
+        {"t_count": 163563922, "t_depth": 89001738},
+        {"t_count": 693039, "t_depth": 377167}),
+    ("LCU", "nisq"): (
+        {"cnot_count": 4875232, "cnot_depth": 3701576, "tk1_count": 6309962,
+         "tk1_depth": 3167111, "total_depth": 6620155, "total_gates": 11185194},
+        {"cnot_count": 21400, "cnot_depth": 16352, "tk1_count": 28310,
+         "tk1_depth": 14195, "total_depth": 29539, "total_gates": 49710}),
+    ("LCU", "ft"): (
+        {"t_count": 213572194, "t_depth": 116262056},
+        {"t_count": 871246, "t_depth": 474332}),
+    ("LCU", "ft_tight"): (
+        {"t_count": 159475234, "t_depth": 86776776},
+        {"t_count": 651022, "t_depth": 354300}),
+}
+
+
+@pytest.mark.parametrize("qae_kind, mode", sorted(_BARRIER_REPORTS))
+def test_barrier_resource_reports_are_pinned(tmp_path, qae_kind, mode):
+    from qmci.cli import main
+
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "mode": mode,
+        "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
+        "instrument": {"instrument": "Barrier", "space": "return", "n_slices": 2,
+                       "total_volatility": 0.2, "strike_ratio": 0.95,
+                       "barrier_ratio": 1.2, "target_rmse": 0.01},
+        "qae": {"qae": qae_kind},
+    }))
+    assert main(["resources", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    doc = json.loads((tmp_path / "o" / "resource_report.json").read_text())
+    assert (doc["totals"], doc["largest"]) == _BARRIER_REPORTS[qae_kind, mode]
+    assert doc["n_qubits"] == 71

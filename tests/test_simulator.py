@@ -183,3 +183,8 @@ def test_random_circuits_keep_unit_norm(seed):
             qc.append("CRy", (int(i), int(j)), rng.uniform(0, 7))
     state = simulate(qc)
     assert abs(np.vdot(state, state).real - 1.0) < 1e-12
+
+
+def test_simulate_rejects_nan_state():
+    with pytest.raises(ValueError, match="norm"):
+        simulate(QuantumCircuit(1).append("Ry", 0, float("nan")))

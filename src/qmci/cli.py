@@ -89,8 +89,8 @@ def _read_pmf(where: str, path=None, pdf="gaussian", mu=0.0, sigma=1.0,
     """The PMF of a distribution or target block: the lines of the CSV file
     at ``path``, or else ``pdf`` discretised on ``grid`` = (n_qubits, x_l,
     delta).  Anything that does not give 2^n finite non-negative entries
-    (2^n_qubits with a grid), and a sigma that is not positive, is a config
-    error."""
+    (2^n_qubits with a grid), a sigma that is not positive and a pdf that
+    vanishes on the grid, is a config error."""
     if path is not None:
         try:
             with open(path) as f:
@@ -103,13 +103,22 @@ def _read_pmf(where: str, path=None, pdf="gaussian", mu=0.0, sigma=1.0,
         if not (_is_finite(mu) and _is_finite(sigma) and sigma > 0):
             raise SchemaError(f"{where}: mu must be finite and sigma positive, "
                               f"got mu={mu!r}, sigma={sigma!r}")
-        pmf = dist_mod.discretize_pdf(lambda x: _PDFS[pdf](x, mu, sigma), *grid)
+        try:
+            pmf = dist_mod.discretize_pdf(lambda x: _PDFS[pdf](x, mu, sigma), *grid)
+        except ValueError as e:
+            raise SchemaError(f"{where}: {e}") from None
     n = len(pmf)
     if n == 0 or n & (n - 1) or (grid is not None and n != 2 ** grid[0]):
         raise SchemaError(f"{where}: a PMF needs 2^n entries, got {n}")
     if not np.all(np.isfinite(pmf) & (pmf >= 0)):
         raise SchemaError(f"{where}: PMF entries must be finite and non-negative")
     return pmf
+
+
+def _delta(value, where: str) -> float:
+    if not _is_positive(value):
+        raise SchemaError(f"{where}: delta must be positive and finite, got {value!r}")
+    return value
 
 
 def _load_distribution(cfg: dict) -> dist_mod.DistributionCircuit:
@@ -121,15 +130,18 @@ def _load_distribution(cfg: dict) -> dist_mod.DistributionCircuit:
     )
     src = cfg["source"]
     if src == "standard":
-        return dist_mod.standard_circuit(cfg["kind"])
+        try:
+            return dist_mod.standard_circuit(cfg["kind"])
+        except ValueError as e:
+            raise SchemaError(f"distribution: {e}") from None
     if src == "pmf_csv":
         pmf = _read_pmf("distribution", path=cfg["path"])
-        x_l, delta = cfg.get("x_l", 0.0), cfg.get("delta", 1.0)
+        x_l, delta = cfg.get("x_l", 0.0), _delta(cfg.get("delta", 1.0), "distribution")
     elif src in _PDFS:
         for key in ("n_qubits", "x_l", "delta"):
             if key not in cfg:
                 raise SchemaError(f"distribution: {src} needs {key}")
-        x_l, delta = cfg["x_l"], cfg["delta"]
+        x_l, delta = cfg["x_l"], _delta(cfg["delta"], "distribution")
         pmf = _read_pmf("distribution", pdf=src, mu=cfg.get("mu", 0.0),
                         sigma=cfg.get("sigma", 1.0), grid=(cfg["n_qubits"], x_l, delta))
     else:
@@ -150,6 +162,8 @@ def _target_pmf(cfg: dict, n_qubits: int, x_l: float, delta: float) -> np.ndarra
 
 def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
     if sub == "load":
+        if "distribution" in cfg:
+            _check_keys(cfg, {"distribution"}, set(), "load")
         dc = _load_distribution(cfg.get("distribution", cfg))
         path = os.path.join(out_dir, "distribution_circuit.json")
         _atomic_write(path, _dump_json(dc.to_dict()))
@@ -176,7 +190,7 @@ def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
         if not isinstance(n_layers, int) or n_layers < 0:
             raise SchemaError(f"train: n_layers must be an integer >= 0, got {n_layers!r}")
         seed = _seed(cfg.get("seed", 0), "train")
-        x_l, delta = cfg.get("x_l", 0.0), cfg.get("delta", 1.0)
+        x_l, delta = cfg.get("x_l", 0.0), _delta(cfg.get("delta", 1.0), "train")
         target = _target_pmf(cfg["target"], cfg["n_qubits"], x_l, delta)
         history: list[float] = []
         dc, cost = dist_mod.train_hwe(
@@ -214,6 +228,10 @@ def _is_int(value, lo: int) -> bool:
 
 def _is_finite(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_positive(value) -> bool:
+    return type(value) in (int, float) and 0 < value < math.inf
 
 
 def _seed(value, where: str) -> int:
@@ -274,9 +292,7 @@ def _budget(q_total, target_rmse, where: str) -> tuple[int | None, float | None]
         raise SchemaError(f"{where}: give a use budget or target_rmse")
     if q_total is not None and not _is_int(q_total, 1):
         raise SchemaError(f"{where}: the use budget must be an integer >= 1, got {q_total!r}")
-    if target_rmse is not None and not (
-        type(target_rmse) in (int, float) and 0 < target_rmse < math.inf
-    ):
+    if target_rmse is not None and not _is_positive(target_rmse):
         raise SchemaError(f"{where}: target_rmse must be positive and finite, got {target_rmse!r}")
     return q_total, target_rmse
 
@@ -351,6 +367,10 @@ def cmd_resources(cfg: dict, out_dir: str) -> list[str]:
     qae_kind, _ = _qae_kind(cfg)
     if qae_kind == "IQAE":
         raise SchemaError("resources: IQAE has a data-dependent schedule; no resource plan")
+    target_mse = cfg.get("target_mse")
+    if "target_mse" in cfg and not _is_positive(target_mse):
+        raise SchemaError(f"resources: target_mse must be positive and finite, "
+                          f"got {target_mse!r}")
     unit = _load_distribution(cfg["distribution"])
     dc, pcfgs, budget = _payoffs(cfg, unit, "resources")
     plans = []
@@ -364,11 +384,9 @@ def cmd_resources(cfg: dict, out_dir: str) -> list[str]:
             reports.append(res_mod.nisq_report(plan))
         else:
             tight = mode == "ft_tight"
-            target_mse = cfg.get(
-                "target_mse",
-                (plan.c_f * plan.c_qae * plan.quantity_range / plan.q_total) ** 2,
-            )
-            sol = res_mod.ft_optimize(plan, target_mse, tight=tight)
+            # by default the squared bound of the planned budget
+            mse = plan.error.bound(plan.q_total) ** 2 if target_mse is None else target_mse
+            sol = res_mod.ft_optimize(plan, mse, tight=tight)
             rep = res_mod.ft_report(plan, sol)
             rep.mode = mode
             reports.append(rep)

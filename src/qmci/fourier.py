@@ -199,21 +199,6 @@ def _exponential_series(t_x: float) -> FourierSeries:
     return _series_from_pieces(pieces, 2.0 * t_x, _COEFF_TABLE)
 
 
-def _norm_range(kind: str, t_x: float | None = None) -> float:
-    """max g - min g over the normalised support piece."""
-    if kind in ("Mean", "ConditionalExpectation"):
-        return 2.0
-    if kind == "SecondMoment":
-        return 1.0
-    return math.exp(t_x / 2.0) - math.exp(-t_x / 2.0)
-
-
-def _c_f(series: FourierSeries, norm_range: float) -> float:
-    s = float(np.sum(np.abs(series.a) ** (2.0 / 3.0)))
-    s += float(np.sum(np.abs(series.b) ** (2.0 / 3.0)))
-    return 2.0 * s**1.5 / norm_range
-
-
 def quantity_series(kind: str, support: tuple[float, float]) -> QuantitySpec:
     """Quantity descriptor: Fourier extension plus its convergence constant.
 
@@ -229,18 +214,17 @@ def quantity_series(kind: str, support: tuple[float, float]) -> QuantitySpec:
     if kind == "BernoulliQubit":
         return QuantitySpec(kind, None, 1.0)
     if kind in ("Mean", "ConditionalExpectation"):
-        series = _mean_series()
+        series, norm = _mean_series(), (-1.0, 1.0)
     elif kind == "SecondMoment":
-        series = _second_moment_series()
+        series, norm = _second_moment_series(), (-1.0, 1.0)
     elif kind in ("Exponential", "ConditionalExponential"):
-        series = _exponential_series(hi - lo)
+        series, norm = _exponential_series(hi - lo), (-(hi - lo) / 2.0, (hi - lo) / 2.0)
     else:
         raise ValueError(f"unknown quantity kind {kind!r}")
-    t_x = hi - lo
-    c_f = _c_f(series, _norm_range(kind, t_x))
-    x_star = None
-    if kind in INDICATOR_KINDS:
-        x_star = 0.0 if lo <= 0.0 <= hi else lo
+    # c_f = 2 (sum |a_m|^(2/3) + |b_m|^(2/3))^(3/2) / (range on the normalised support)
+    s = sum(float(np.sum(np.abs(c) ** (2.0 / 3.0))) for c in (series.a, series.b))
+    c_f = 2.0 * s**1.5 / range_of_quantity(kind, norm)
+    x_star = (0.0 if lo <= 0.0 <= hi else lo) if kind in INDICATOR_KINDS else None
     return QuantitySpec(kind, series, c_f, x_star=x_star)
 
 
@@ -256,13 +240,11 @@ def range_of_quantity(kind: str, support: tuple[float, float]) -> float:
     return 1.0  # BernoulliQubit
 
 
-def rmse_bound(
-    spec: QuantitySpec, c_qae: float, q: int, support: tuple[float, float]
-) -> float:
-    """Closed-form error bound c_f * c_QAE * range / q (PAM: / sqrt(q))."""
+def rmse_bound(spec: QuantitySpec, c_qae: float, q: int, support: tuple[float, float]) -> float:
+    """The Fourier path's bound c_f c_QAE R / q, PAM included (``ErrorModel``)."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    return spec.c_f * c_qae * range_of_quantity(spec.kind, support) / q
+    return ErrorModel(spec.c_f, c_qae, range_of_quantity(spec.kind, support)).bound(q)
 
 
 # --------------------------------------------------------------------------
@@ -394,21 +376,48 @@ def allocate_uses(coefficients, q_total: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class TermPlan:
-    """Everything a QMCI run fixes before it simulates anything.
+class ErrorModel:
+    """The QAE error of one quantity: RMSE <= c / q^(lam/2) after q uses,
+    c = c_f c_QAE R, lam from ``qae.QAE_LAMBDA`` (Montanaro, arXiv:1504.06987;
+    Herbert, arXiv:2105.09100).  Only a BernoulliQubit bound passes its
+    estimator's lam; the Fourier bound, budget, truncation target and FT MSE
+    charge lam = 2 to every estimator, PAM included: ROADMAP item 1, Defect A."""
 
-    ``terms`` holds the estimated (m, trig, coeff) harmonics and ``uses``
-    the oracle uses of each; BernoulliQubit has the single term
-    (0, "bernoulli", 1.0).  The series sees register value k at
-    x_n = x_l_n + delta_n * k, and the real estimate is
-    offset + scale * estimate_n.  Conditional kinds carry the normalised
-    x* and the indicator qubit; BernoulliQubit carries the indicator qubit.
-    """
-
-    q_total: int
     c_f: float
     c_qae: float
     quantity_range: float
+
+    @property
+    def c(self) -> float:
+        return self.c_f * self.c_qae * self.quantity_range
+
+    def bound(self, q: float, lam: int = 2) -> float:
+        return self.c / (q if lam == 2 else math.sqrt(q))
+
+    def budget(self, target_rmse: float) -> int:
+        return max(1, math.ceil(self.c / target_rmse))
+
+    def mse(self, q: float) -> float:  # rounds apart from bound(q) ** 2
+        return self.c**2 / q**2
+
+    def q_for_mse(self, target_mse: float) -> float:
+        return math.sqrt(self.c**2 / target_mse)
+
+
+@dataclass(frozen=True)
+class TermPlan:
+    """Everything a QMCI run fixes before it simulates anything.
+
+    ``error`` is the run's error model.  ``terms`` holds the estimated
+    (m, trig, coeff) harmonics and ``uses`` the oracle uses of each;
+    BernoulliQubit has the single term (0, "bernoulli", 1.0).  The series
+    sees register value k at x_n = x_l_n + delta_n * k, and the real
+    estimate is offset + scale * estimate_n.  Conditional kinds carry the
+    normalised x* and the indicator qubit, BernoulliQubit only the qubit.
+    """
+
+    q_total: int
+    error: ErrorModel
     terms: tuple
     uses: tuple
     x_l_n: float = 0.0
@@ -457,11 +466,11 @@ def plan_terms(
     """Budget, truncation, term selection, use allocation and
     normalisation of one QMCI run; simulates nothing.
 
-    Without ``q_total`` the budget is the one whose closed-form bound
-    c_f c_QAE R / q meets ``target_rmse``.  The series is truncated where
-    its dropped tail falls below a tenth of ``target_rmse``, or of that
-    bound at ``q_total`` when no target is given.  ``qmci_estimate`` runs
-    this plan and resource mode counts it.
+    Without ``q_total`` the budget is the error model's for
+    ``target_rmse``.  The series is truncated where its dropped tail falls
+    below a tenth of ``target_rmse``, or of the bound at ``q_total`` when
+    no target is given.  ``qmci_estimate`` runs this plan and resource mode
+    counts it.
     """
     c_qae = qae_mod.C_QAE_REFERENCE[qae_kind]
     if q_total is None and target_rmse is None:
@@ -469,7 +478,6 @@ def plan_terms(
     if target_rmse is not None and not target_rmse > 0:
         raise ValueError("target_rmse must be positive")
     bernoulli = spec.kind == "BernoulliQubit"
-    conditional = spec.kind in INDICATOR_KINDS and not bernoulli
     cond_qubit = None
     if spec.kind in INDICATOR_KINDS:
         if condition is None:
@@ -480,19 +488,18 @@ def plan_terms(
     else:
         d = dc.dims[dim]
         lo, hi = (d.x_l, d.x_u) if spec.support_window is None else spec.support_window
-    quantity_range = range_of_quantity(spec.kind, (lo, hi))
-    c_range = spec.c_f * c_qae * quantity_range  # the closed-form bound is c_range / q
+    error = ErrorModel(spec.c_f, c_qae, range_of_quantity(spec.kind, (lo, hi)))
     if q_total is None:
-        q_total = max(1, math.ceil(c_range / target_rmse))
+        q_total = error.budget(target_rmse)
     if q_total < 1:
         raise ValueError("budget must be >= 1")
     if bernoulli:
-        return TermPlan(q_total, spec.c_f, c_qae, quantity_range,
-                        ((0, "bernoulli", 1.0),), (q_total,), cond_qubit=cond_qubit)
+        return TermPlan(q_total, error, ((0, "bernoulli", 1.0),), (q_total,),
+                        cond_qubit=cond_qubit)
 
     shift, stretch, scale, offset = _affine(spec.kind, lo, hi)
     series = spec.series
-    target = target_rmse if target_rmse is not None else c_range / q_total
+    target = target_rmse if target_rmse is not None else error.bound(q_total)
     terms = []
     for m in range(1, _truncate(series, scale, target) + 1):
         if abs(series.a[m - 1]) > 1e-13:
@@ -504,14 +511,9 @@ def plan_terms(
             f"budget {q_total} below the {len(terms)} harmonics to estimate"
         )
     uses = allocate_uses([c for (_, _, c) in terms], q_total)
-    x_star_n = None
-    if conditional:
-        x_star = spec.x_star
-        if x_star is None:
-            x_star = 0.0 if lo <= 0.0 <= hi else lo
-        x_star_n = (x_star - shift) / stretch
+    x_star_n = None if cond_qubit is None else (spec.x_star - shift) / stretch
     return TermPlan(
-        q_total, spec.c_f, c_qae, quantity_range, tuple(terms), tuple(uses),
+        q_total, error, tuple(terms), tuple(uses),
         (d.x_l - shift) / stretch, d.delta / stretch, scale, offset, x_star_n, cond_qubit,
     )
 
@@ -551,7 +553,7 @@ def qmci_estimate(
         a_val = float(exact_marginal(dc.circuit, [plan.cond_qubit])[1])
         res = qae_mod.estimate_amplitude(qae_kind, a_val, q_total,
                                          _substream_seed(seed, 0, "cos"), lcu_p_max_fail)
-        bound = plan.c_qae / (q_total if res.lam == 2 else math.sqrt(q_total))
+        bound = plan.error.bound(q_total, res.lam)
         return QmciResult(res.a_hat, bound, q_total, [(0, "bernoulli", q_total, res.a_hat)])
 
     d = dc.dims[dim]
@@ -583,5 +585,4 @@ def qmci_estimate(
         per_harmonic.append((m, trig, q_m, res.a_hat))
 
     estimate = plan.offset + plan.scale * estimate_n
-    bound = plan.c_f * plan.c_qae * plan.quantity_range / q_total
-    return QmciResult(estimate, bound, int(np.sum(plan.uses)), per_harmonic)
+    return QmciResult(estimate, plan.error.bound(q_total), int(np.sum(plan.uses)), per_harmonic)

@@ -39,6 +39,7 @@ import numpy as np
 from .circuit import QuantumCircuit, controlled_x
 
 C_QAE_REFERENCE = {"PAM": 0.5, "MLQAE": 8.02, "IQAE": 14.4, "LCU": 7.82}
+QAE_LAMBDA = {"PAM": 1, "MLQAE": 2, "IQAE": 2, "LCU": 2}  # RMSE ~ c_QAE / q^(lambda/2)
 
 SHOTS_M0 = 66  # shots of the m = 0 round of an EIS schedule
 SHOTS_OTHER = 44  # shots of every full round at m >= 1
@@ -71,6 +72,10 @@ class QaeResult:
     def __post_init__(self):
         if not 0.0 <= self.a_hat <= 1.0:
             raise ValueError("estimate outside [0, 1]")
+
+
+def _result(kind: str, a_hat: float, uses: int, **kw) -> QaeResult:
+    return QaeResult(a_hat, uses, QAE_LAMBDA[kind], C_QAE_REFERENCE[kind], **kw)
 
 
 # --------------------------------------------------------------------------
@@ -175,7 +180,7 @@ def pam_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None =
     a_hat = rng.binomial(q, a, size=_n_runs(repeats)) / q
     if repeats is not None:
         return a_hat
-    return QaeResult(float(a_hat[0]), q, 1, C_QAE_REFERENCE["PAM"])
+    return _result("PAM", float(a_hat[0]), q)
 
 
 # --------------------------------------------------------------------------
@@ -272,7 +277,7 @@ def mlqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None
     a_hat = np.array([math.sin(t) ** 2 for t in _mlqae_theta(levels, shots, hits)])
     if repeats is not None:
         return a_hat
-    return QaeResult(float(a_hat[0]), q, 2, C_QAE_REFERENCE["MLQAE"])
+    return _result("MLQAE", float(a_hat[0]), q)
 
 
 # --------------------------------------------------------------------------
@@ -407,13 +412,13 @@ def iqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None 
         res = pam_from_amplitude(a, q, seed, repeats=repeats)
         if repeats is not None:
             return res
-        return QaeResult(res.a_hat, q, 1, C_QAE_REFERENCE["IQAE"], fallback=True)
+        return dataclasses.replace(res, c_qae_reference=C_QAE_REFERENCE["IQAE"], fallback=True)
     theta = math.asin(math.sqrt(a))
     rng = np.random.default_rng(seed)
     runs = [_iqae_run(theta, q, *pair, rng) for _ in range(_n_runs(repeats))]
     if repeats is not None:
         return np.array([a_hat for a_hat, _ in runs])
-    return QaeResult(runs[0][0], runs[0][1], 2, C_QAE_REFERENCE["IQAE"])
+    return _result("IQAE", *runs[0])
 
 
 # --------------------------------------------------------------------------
@@ -639,13 +644,7 @@ def lcu_from_amplitude(
         if cat == 0 or pf == 0.0:
             continue
         failures += int(rng.negative_binomial(n, 1.0 - pf))
-    return QaeResult(
-        float(a_hat[0]),
-        q,
-        2,
-        C_QAE_REFERENCE["LCU"],
-        uses_expected_total=float(q + failures),
-    )
+    return _result("LCU", float(a_hat[0]), q, uses_expected_total=float(q + failures))
 
 
 # --------------------------------------------------------------------------

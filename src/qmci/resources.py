@@ -39,8 +39,8 @@ from .rebase import (
 
 @dataclass
 class QmciPlan:
-    """The counts of A and Q are taken on first use and kept; the
-    circuits must not change after that."""
+    """The counts of A and Q and the error model are taken on first use and
+    kept; the circuits, c_f, c_qae and quantity_range must not change then."""
 
     a_circuit: QuantumCircuit            # representative rotation-bank circuit
     grover: QuantumCircuit               # its Grover operator
@@ -50,6 +50,10 @@ class QmciPlan:
     c_f: float
     c_qae: float
     quantity_range: float
+
+    @cached_property
+    def error(self) -> fourier_mod.ErrorModel:
+        return fourier_mod.ErrorModel(self.c_f, self.c_qae, self.quantity_range)
 
     @cached_property
     def nisq_counts(self) -> tuple[NisqCounts, NisqCounts]:
@@ -163,9 +167,9 @@ def build_plan(
         schedules=[[(0, q)] if qae_kind == "PAM" else eis_schedule(q) for q in run.uses],
         q_total=run.q_total,
         quantity=spec.kind,
-        c_f=run.c_f,
-        c_qae=run.c_qae,
-        quantity_range=run.quantity_range,
+        c_f=run.error.c_f,
+        c_qae=run.error.c_qae,
+        quantity_range=run.error.quantity_range,
     )
 
 
@@ -213,16 +217,14 @@ def ft_objective(plan: QmciPlan, q: float, eps: float) -> float:
 
 def ft_constraint(plan: QmciPlan, q: float, eps: float, target_mse: float,
                   tight: bool = False) -> float:
-    """The optimizer's MSE model at a given (q, eps), (c_f c_QAE R)^2 / q^2
-    + eps_tot R^3 / 3, for the caller to compare against ``target_mse``."""
+    """The optimizer's MSE model at (q, eps), the error model's MSE plus
+    eps_tot R^3 / 3, for the caller to compare against ``target_mse``."""
     n_r_q = plan.ft_counts[1].rotation_count
     if tight:
-        rot_total = 0.5 * q * n_r_q
-        eps_tot = 2.0 * math.sqrt(rot_total) * eps
+        eps_tot = 2.0 * math.sqrt(0.5 * q * n_r_q) * eps
     else:
         eps_tot = q * n_r_q * eps
-    rng = plan.quantity_range
-    return (plan.c_f * plan.c_qae * rng) ** 2 / q**2 + eps_tot / 3.0 * rng**3
+    return plan.error.mse(q) + eps_tot / 3.0 * plan.quantity_range**3
 
 
 def ft_optimize(
@@ -231,16 +233,15 @@ def ft_optimize(
     tight: bool = False,
 ) -> FtSolution:
     """Optimal (q, epsilon) minimising the T count (``ft_objective``)
-    subject to the MSE budget (``ft_constraint``): MSE = (c_f c_QAE R)^2 /
-    q^2 + eps_tot R^3 / 3 with per-rotation synthesis cost 3 log2(1/eps) T
-    gates (Ross & Selinger, arXiv:1403.2975) and q/2 Grover instances.
+    subject to the MSE budget (``ft_constraint``), with per-rotation synthesis
+    cost 3 log2(1/eps) T gates (Ross & Selinger, arXiv:1403.2975).
 
     ``tight`` swaps the coherent worst-case eps_tot = q n_R eps for the
     quasi-orthogonal model 2 sqrt(q n_R / 2) eps.
     """
     if target_mse <= 0:
         raise ValueError("target_mse must be positive")
-    q_min = math.sqrt((plan.c_f * plan.c_qae * plan.quantity_range) ** 2 / target_mse)
+    q_min = plan.error.q_for_mse(target_mse)
 
     def q_of_eps(eps):
         f = lambda q: ft_constraint(plan, q, eps, target_mse, tight) - target_mse

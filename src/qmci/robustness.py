@@ -263,7 +263,6 @@ def amplitude_sweep(
         raise ValueError("amplitudes and q_list entries must be distinct")
     if any(not 0.0 < a < 1.0 for a in amplitude_grid):
         raise ValueError("amplitudes must lie in (0, 1)")
-    lam = 1 if qae_kind == "PAM" else 2
     report = SweepReport(qae_kind, amplitude_grid, q_list, repeats, seed)
     for ai, a in enumerate(amplitude_grid):
         rmses = []
@@ -282,9 +281,8 @@ def amplitude_sweep(
             rmses.append(st.rmse)
         rmses = np.array(rmses)
         qs = np.array(q_list, dtype=float)
-        report.fitted_conservative[a] = float(np.max(rmses * qs ** (lam / 2.0)))
-        slope_known = -lam / 2.0
-        # least-squares intercept of log rmse = log c + slope * log q
-        logc = np.mean(np.log(np.maximum(rmses, 1e-300)) - slope_known * np.log(qs))
+        half_lam = qae_mod.QAE_LAMBDA[qae_kind] / 2.0
+        report.fitted_conservative[a] = float(np.max(rmses * qs ** half_lam))
+        logc = np.mean(np.log(np.maximum(rmses, 1e-300)) + half_lam * np.log(qs))
         report.fitted_lsq[a] = float(np.exp(logc))
     return report

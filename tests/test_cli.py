@@ -161,6 +161,12 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     })
     assert run(["estimate", cfg]) == 2
     assert "bogus" in capsys.readouterr().err
+    cfg = write(tmp_path, "load.json", {
+        "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
+        "bogus": 1,
+    })
+    assert run(["dist", "load", cfg, "--out-dir", tmp_path / "o"]) == 2
+    assert "bogus" in capsys.readouterr().err
 
 
 def test_numeric_failure_exits_3(tmp_path):
@@ -171,6 +177,13 @@ def test_numeric_failure_exits_3(tmp_path):
         "quantity": {"quantity": "Mean", "q_total": 10, "target_rmse": 1e-6},
     })
     assert run(["estimate", cfg]) == 3
+    # a well-formed MSE target that no (q, epsilon) meets
+    cfg = write(tmp_path, "r.json", {
+        "mode": "ft", "target_mse": 1e-300,
+        "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
+        "quantity": {"quantity": "Mean", "q_total": 500},
+    })
+    assert run(["resources", cfg, "--out-dir", tmp_path / "o"]) == 3
 
 
 def test_unreadable_config_exits_2(tmp_path):
@@ -244,7 +257,8 @@ def test_non_integer_thread_env_exits_2(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [{"norm": "L3"}, {"n_layers": -1}, {"seed": -1},
-                                 {"seed": "x"}, {"seed": 1.5}, {"seed": True}])
+                                 {"seed": "x"}, {"seed": 1.5}, {"seed": True},
+                                 {"delta": -1.0}])
 def test_dist_train_bad_config_exits_2(tmp_path, bad):
     cfg = write(tmp_path, "c.json", {
         "target": {"pdf": "gaussian"}, "n_qubits": 2, "n_layers": 1, **bad,
@@ -409,14 +423,21 @@ UNIT_2Q = {"source": "gaussian", "n_qubits": 2, "mu": 0.0, "sigma": 1.0,
     ("instrument", {"target_rmse": 0}),
     ("quantity", {"target_rmse": -1}),
     ("instrument", {"target_rmse": -1}),
+    *(("ft", {"target_mse": v}) for v in (-1.0, 0, float("inf"), float("nan"), True,
+                                           "1e-4", None)),
 ])
 def test_bad_budget_exits_2(tmp_path, command, block, bad, capsys):
     cfg = {"seed": 1, "mode": "nisq"} if command == "resources" else {"seed": 1}
     if block == "quantity":
         cfg.update(distribution={"source": "standard", "kind": "gaussian_unit_6q"},
                    quantity={"quantity": "Mean", **bad})
-    else:
+    elif block == "instrument":
         cfg.update(distribution=UNIT_2Q, instrument={**BARRIER, **bad})
+    else:  # a resources MSE target, which estimate does not take
+        cfg.update(distribution={"source": "standard", "kind": "gaussian_unit_6q"},
+                   quantity={"quantity": "Mean", "q_total": 500}, **bad)
+        if command == "resources":
+            cfg["mode"] = "ft"
     assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -617,9 +638,14 @@ _CSVS = {"non_numeric": "0.5\nabc\n0.25\n0.25\n", "length_3": "0.5\n0.25\n0.25\n
     {**_GAUSSIAN_3Q, "sigma": "0.1"},
     {**_GAUSSIAN_3Q, "source": "lognormal", "sigma": 0},
     {**_GAUSSIAN_3Q, "mu": float("inf")},
+    {"source": "standard", "kind": "nope"},
+    {**_GAUSSIAN_3Q, "mu": 1000.0},  # the pdf vanishes on the grid
+    {**_GAUSSIAN_3Q, "delta": -1.0},
+    {**_GAUSSIAN_3Q, "source": "lognormal", "delta": 0},
+    {"source": "pmf_csv", "path": "ok.csv", "delta": 0},
 ])
 def test_bad_distribution_exits_2(tmp_path, bad, capsys):
-    for name, text in _CSVS.items():
+    for name, text in {**_CSVS, "ok": "0.5\n0.5\n"}.items():
         (tmp_path / f"{name}.csv").write_text(text)
     if "path" in bad:
         bad = {**bad, "path": str(tmp_path / bad["path"])}

@@ -388,11 +388,12 @@ _BARRIER_REPORTS = {
 }
 
 
-@pytest.mark.parametrize("qae_kind, mode", sorted(_BARRIER_REPORTS))
-def test_barrier_resource_reports_are_pinned(tmp_path, qae_kind, mode):
+def _barrier_report(tmp_path, qae_kind: str, mode: str) -> dict:
+    """The CLI resource report of a 2-slice Barrier on the six-qubit loader."""
     from qmci.cli import main
 
     cfg = tmp_path / "c.json"
+    cfg.parent.mkdir(exist_ok=True)
     cfg.write_text(json.dumps({
         "mode": mode,
         "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
@@ -402,6 +403,70 @@ def test_barrier_resource_reports_are_pinned(tmp_path, qae_kind, mode):
         "qae": {"qae": qae_kind},
     }))
     assert main(["resources", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
-    doc = json.loads((tmp_path / "o" / "resource_report.json").read_text())
+    return json.loads((tmp_path / "o" / "resource_report.json").read_text())
+
+
+@pytest.mark.parametrize("qae_kind, mode", sorted(_BARRIER_REPORTS))
+def test_barrier_resource_reports_are_pinned(tmp_path, qae_kind, mode):
+    doc = _barrier_report(tmp_path, qae_kind, mode)
     assert (doc["totals"], doc["largest"]) == _BARRIER_REPORTS[qae_kind, mode]
     assert doc["n_qubits"] == 71
+
+
+# The error model's outputs, captured before it moved into one owner
+# (fourier.ErrorModel): per (quantity, estimator), rmse_bound at q_total
+# 2,000, then rmse_bound and uses_total from target_rmse 0.02.  Every
+# budget and every Fourier bound is charged lambda = 2, PAM's included;
+# a BernoulliQubit bound uses its estimator's lambda, so PAM's is
+# 0.5 / sqrt(q) (0.1 at the 25 uses that 0.5 / 0.02 asks for).
+_ERROR_MODEL = {
+    ("Mean", "PAM"): (0.0005162645177433316, 0.019856327605512755, 52),
+    ("Mean", "MLQAE"): (0.008280882864603038, 0.019978004498439176, 829),
+    ("Mean", "IQAE"): (0.014868418111007949, 0.019997872375262876, 1487),
+    ("Mean", "LCU"): (0.008074377057505707, 0.019986081825509174, 808),
+    ("ConditionalExpectation", "PAM"): (0.0005162645177433316, 0.019856327605512755, 52),
+    ("ConditionalExpectation", "MLQAE"): (0.008280882864603038, 0.019978004498439176, 829),
+    ("ConditionalExpectation", "IQAE"): (0.014868418111007949, 0.019997872375262876, 1487),
+    ("ConditionalExpectation", "LCU"): (0.008074377057505707, 0.019986081825509174, 808),
+    ("SecondMoment", "PAM"): (0.0002343226023277619, 0.019526883527313493, 24),
+    ("SecondMoment", "MLQAE"): (0.003758534541337301, 0.019992205007113302, 376),
+    ("SecondMoment", "IQAE"): (0.006748490947039543, 0.019995528731969015, 675),
+    ("SecondMoment", "LCU"): (0.0036648055004061962, 0.01997169210030625, 367),
+    ("Exponential", "PAM"): (0.0008305881618152121, 0.019775908614647907, 84),
+    ("Exponential", "MLQAE"): (0.013322634115516003, 0.019988948410376597, 1333),
+    ("Exponential", "IQAE"): (0.02392093906027811, 0.01999242712935906, 2393),
+    ("Exponential", "LCU"): (0.01299039885078992, 0.01998522900121526, 1300),
+    ("ConditionalExponential", "PAM"): (0.0008305881618152121, 0.019775908614647907, 84),
+    ("ConditionalExponential", "MLQAE"): (0.013322634115516003, 0.019988948410376597, 1333),
+    ("ConditionalExponential", "IQAE"): (0.02392093906027811, 0.01999242712935906, 2393),
+    ("ConditionalExponential", "LCU"): (0.01299039885078992, 0.01998522900121526, 1300),
+    ("BernoulliQubit", "PAM"): (0.011180339887498949, 0.1, 25),
+    ("BernoulliQubit", "MLQAE"): (0.00401, 0.02, 401),
+    ("BernoulliQubit", "IQAE"): (0.0072, 0.02, 720),
+    ("BernoulliQubit", "LCU"): (0.00391, 0.02, 391),
+}
+
+
+def test_error_model_is_pinned(tmp_path):
+    # a 3-qubit Gaussian register on [-0.5, 0.5] and an indicator copying its top bit;
+    # the bounds and budgets draw no random numbers, so no generator is needed
+    pmf = discretize_pdf(lambda x: gaussian_pdf(x, 0.05, 0.2), 3, -0.5, 1 / 7)
+    dc = rescale(exact_pmf_loader(pmf), 0, -0.5, 1 / 7)
+    qc = dc.circuit.widened(4)
+    qc.append("CNOT", (dc.dims[0].qubits[0], 3))
+    dc = DistributionCircuit(qc, dc.dims, indicators=[3])
+    for (kind, est), (at_q, at_target, uses) in _ERROR_MODEL.items():
+        spec = quantity_series(kind, (0.0, 1.0) if kind == "BernoulliQubit" else (-0.5, 0.5))
+        fixed = qmci_estimate(dc, spec, 0, est, q_total=2000, seed=1, condition=0)
+        target = qmci_estimate(dc, spec, 0, est, target_rmse=0.02, seed=1, condition=0)
+        assert (fixed.rmse_bound, fixed.uses_total) == (at_q, 2000), (kind, est)
+        assert (target.rmse_bound, target.uses_total) == (at_target, uses), (kind, est)
+    # 50 uses are too few for IQAE, which runs PAM: IQAE's constant at PAM's rate
+    spec = quantity_series("BernoulliQubit", (0.0, 1.0))
+    res = qmci_estimate(dc, spec, 0, "IQAE", q_total=50, seed=1, condition=0)
+    assert res.rmse_bound == 2.0364675298172568  # 14.4 / sqrt(50)
+    # the FT optimum of the Barrier's one plan at the default target_mse
+    for mode, want in (("ft", (8065, 4.012779769807919e-13)),
+                       ("ft_tight", (8155, 7.102090767376108e-10))):
+        (plan,) = _barrier_report(tmp_path / mode, "MLQAE", mode)["per_plan"]
+        assert (plan["solution"]["q"], plan["solution"]["epsilon"]) == want

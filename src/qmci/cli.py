@@ -121,6 +121,12 @@ def _delta(value, where: str) -> float:
     return value
 
 
+def _x_l(value, where: str) -> float:
+    if not _is_finite(value):
+        raise SchemaError(f"{where}: x_l must be a finite number, got {value!r}")
+    return value
+
+
 def _load_distribution(cfg: dict) -> dist_mod.DistributionCircuit:
     _check_keys(
         cfg,
@@ -136,12 +142,13 @@ def _load_distribution(cfg: dict) -> dist_mod.DistributionCircuit:
             raise SchemaError(f"distribution: {e}") from None
     if src == "pmf_csv":
         pmf = _read_pmf("distribution", path=cfg["path"])
-        x_l, delta = cfg.get("x_l", 0.0), _delta(cfg.get("delta", 1.0), "distribution")
+        x_l = _x_l(cfg.get("x_l", 0.0), "distribution")
+        delta = _delta(cfg.get("delta", 1.0), "distribution")
     elif src in _PDFS:
         for key in ("n_qubits", "x_l", "delta"):
             if key not in cfg:
                 raise SchemaError(f"distribution: {src} needs {key}")
-        x_l, delta = cfg["x_l"], _delta(cfg["delta"], "distribution")
+        x_l, delta = _x_l(cfg["x_l"], "distribution"), _delta(cfg["delta"], "distribution")
         pmf = _read_pmf("distribution", pdf=src, mu=cfg.get("mu", 0.0),
                         sigma=cfg.get("sigma", 1.0), grid=(cfg["n_qubits"], x_l, delta))
     else:
@@ -169,7 +176,7 @@ def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
         _atomic_write(path, _dump_json(dc.to_dict()))
         return [path]
     if sub == "metrics":
-        _check_keys(cfg, {"distribution", "target", "seed"}, {"distribution", "target"}, "metrics")
+        _check_keys(cfg, {"distribution", "target"}, {"distribution", "target"}, "metrics")
         dc = _load_distribution(cfg["distribution"])
         d = dc.dims[0]
         target = _target_pmf(cfg["target"], d.n, d.x_l, d.delta)
@@ -190,7 +197,7 @@ def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
         if not isinstance(n_layers, int) or n_layers < 0:
             raise SchemaError(f"train: n_layers must be an integer >= 0, got {n_layers!r}")
         seed = _seed(cfg.get("seed", 0), "train")
-        x_l, delta = cfg.get("x_l", 0.0), _delta(cfg.get("delta", 1.0), "train")
+        x_l, delta = _x_l(cfg.get("x_l", 0.0), "train"), _delta(cfg.get("delta", 1.0), "train")
         target = _target_pmf(cfg["target"], cfg["n_qubits"], x_l, delta)
         history: list[float] = []
         dc, cost = dist_mod.train_hwe(

@@ -9,9 +9,11 @@ level m is counted as A plus m copies of Q; depth totals follow the
 sequential-execution model (sums across circuits).
 
 A plan counts each of its two circuits once, on first use, and every
-report and the fault-tolerant optimiser read those counts.  The NISQ
-report only rebases to {TK1, CNOT} and the fault-tolerant ones only lower
-to rotations plus Clifford+T.
+report and the fault-tolerant optimiser read those counts.  The counts are
+those of A and Q rebased to {TK1, CNOT} (NISQ) or lowered to rotations
+plus Clifford+T (fault-tolerant), taken by ``rebase``'s per-gate templates
+without building either compiled circuit; the fault-tolerant report walks
+A and Q once more for their T depth at the solved synthesis cost.
 """
 from __future__ import annotations
 
@@ -26,15 +28,7 @@ from .circuit import QuantumCircuit, ResourceBox
 from .distributions import DistributionCircuit, rescale
 from . import fourier as fourier_mod
 from .qae import eis_schedule, grover_operator, QaeProblem
-from .rebase import (
-    FtGateCounts,
-    NisqCounts,
-    count_ft_content,
-    count_nisq,
-    lower_to_rotations_clifford_t,
-    rebase_tk1_cnot,
-    t_depth,
-)
+from .rebase import FtGateCounts, NisqCounts, lowered_counts, lowered_t_depth, rebased_counts
 
 
 @dataclass
@@ -58,17 +52,13 @@ class QmciPlan:
     @cached_property
     def nisq_counts(self) -> tuple[NisqCounts, NisqCounts]:
         """(A, Q) counts after rebasing to {TK1, CNOT}."""
-        return tuple(count_nisq(rebase_tk1_cnot(c)) for c in (self.a_circuit, self.grover))
-
-    @cached_property
-    def lowered(self) -> tuple[QuantumCircuit, QuantumCircuit]:
-        """(A, Q) lowered to rotations plus Clifford+T."""
-        return tuple(lower_to_rotations_clifford_t(c) for c in (self.a_circuit, self.grover))
+        return tuple(rebased_counts(c) for c in (self.a_circuit, self.grover))
 
     @cached_property
     def ft_counts(self) -> tuple[FtGateCounts, FtGateCounts]:
-        """(A, Q) rotation and exact-T content of the lowered circuits."""
-        return tuple(count_ft_content(c) for c in self.lowered)
+        """(A, Q) rotation and exact-T content after lowering to rotations
+        plus Clifford+T."""
+        return tuple(lowered_counts(c) for c in (self.a_circuit, self.grover))
 
 
 @dataclass
@@ -303,10 +293,11 @@ def ft_report(plan: QmciPlan, solution: FtSolution) -> ResourceReport:
     """
     t_rot = max(1, math.ceil(3.0 * math.log2(1.0 / solution.epsilon)))
     a, q = (
-        {"t_count": c.t_count_exact + t_rot * c.rotation_count, "t_depth": t_depth(low, t_rot)}
-        for low, c in zip(plan.lowered, plan.ft_counts)
+        {"t_count": c.t_count_exact + t_rot * c.rotation_count,
+         "t_depth": lowered_t_depth(circ, t_rot)}
+        for circ, c in zip((plan.a_circuit, plan.grover), plan.ft_counts)
     )
-    n_qubits = max(low.n_qubits for low in plan.lowered)
+    n_qubits = max(c.n_qubits for c in plan.ft_counts)
     totals, largest, levels = _tally(plan, a, q, "t_count")
     filled = replace(
         solution,

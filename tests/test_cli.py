@@ -167,6 +167,13 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     })
     assert run(["dist", "load", cfg, "--out-dir", tmp_path / "o"]) == 2
     assert "bogus" in capsys.readouterr().err
+    # nothing reads a seed in a metrics config
+    cfg = write(tmp_path, "metrics.json", {
+        "distribution": {"source": "standard", "kind": "gaussian_unit_6q"},
+        "target": {"pdf": "gaussian"}, "seed": "junk",
+    })
+    assert run(["dist", "metrics", cfg, "--out-dir", tmp_path / "o"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_numeric_failure_exits_3(tmp_path):
@@ -258,7 +265,7 @@ def test_non_integer_thread_env_exits_2(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("bad", [{"norm": "L3"}, {"n_layers": -1}, {"seed": -1},
                                  {"seed": "x"}, {"seed": 1.5}, {"seed": True},
-                                 {"delta": -1.0}])
+                                 {"delta": -1.0}, {"x_l": "a"}, {"x_l": True}])
 def test_dist_train_bad_config_exits_2(tmp_path, bad):
     cfg = write(tmp_path, "c.json", {
         "target": {"pdf": "gaussian"}, "n_qubits": 2, "n_layers": 1, **bad,
@@ -643,6 +650,9 @@ _CSVS = {"non_numeric": "0.5\nabc\n0.25\n0.25\n", "length_3": "0.5\n0.25\n0.25\n
     {**_GAUSSIAN_3Q, "delta": -1.0},
     {**_GAUSSIAN_3Q, "source": "lognormal", "delta": 0},
     {"source": "pmf_csv", "path": "ok.csv", "delta": 0},
+    {"source": "pmf_csv", "path": "ok.csv", "x_l": "a"},
+    {**_GAUSSIAN_3Q, "x_l": True},
+    {**_GAUSSIAN_3Q, "x_l": float("nan")},
 ])
 def test_bad_distribution_exits_2(tmp_path, bad, capsys):
     for name, text in {**_CSVS, "ok": "0.5\n0.5\n"}.items():

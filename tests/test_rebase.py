@@ -184,3 +184,79 @@ def test_x_and_tk1_lower_to_exact_sequences():
         ("H", ()), ("S", ()), ("S", ()), ("H", ()),
         ("Rz", (0.3,)), ("Rx", (0.2,)), ("Rz", (0.1,)),
     ]
+
+
+# the counters that skip building the compiled circuit, pinned against the
+# passes that build it
+_EDGE_ANGLES = (0.0, 1e-16, -1e-16, 2e-15, -2e-15, 1.3)
+
+
+def random_alphabet_circuit(n, m, rng):
+    """Every controlled rotation kind at every angle of ``_EDGE_ANGLES``
+    (about the zero-angle threshold), a multi-controlled X of each width
+    from 3 to 7 controls and ``m`` random gates of every source kind, in
+    random order, plus resource boxes."""
+    from qmci.circuit import ResourceBox
+
+    def wires(k):
+        return tuple(int(q) for q in rng.choice(n, k, replace=False))
+
+    gates = [gate(kind, wires(2), a) for kind in ("CRx", "CRy", "CRz") for a in _EDGE_ANGLES]
+    gates += [gate("MultiControlledX", wires(c + 1)) for c in range(3, 8)]
+    for _ in range(m):
+        r = rng.integers(0, 10)
+        if r < 2:
+            gates.append(gate(str(rng.choice(["X", "H", "S", "T", "Tdg"])), wires(1)))
+        elif r < 3:
+            gates.append(gate(str(rng.choice(["Rx", "Ry", "Rz"])), wires(1), rng.uniform(-3, 3)))
+        elif r < 4:
+            gates.append(gate("TK1", wires(1), *rng.uniform(-3, 3, 3)))
+        elif r < 5:
+            gates.append(gate("CNOT", wires(2)))
+        elif r < 7:
+            gates.append(gate(str(rng.choice(["CRx", "CRy", "CRz"])), wires(2),
+                              float(rng.choice(_EDGE_ANGLES))))
+        elif r < 8:
+            gates.append(gate("Toffoli", wires(3)))
+        else:
+            gates.append(gate("MultiControlledX", wires(int(rng.integers(4, 9)))))
+    qc = QuantumCircuit(n).extend(gates[i] for i in rng.permutation(len(gates)))
+    for _ in range(int(rng.integers(0, 3))):
+        qc.boxes.append(ResourceBox(
+            n_qubits=2, placement=int(rng.integers(len(gates))),
+            gate_counts={k: int(rng.integers(0, 5)) for k in ("CNOT", "TK1", "T", "Rz", "H")},
+            total_depth=int(rng.integers(1, 9)) if rng.random() < 0.5 else None,
+            t_depth=int(rng.integers(1, 9)) if rng.random() < 0.5 else None))
+    return qc
+
+
+def assert_counters_match_passes(qc):
+    from qmci.rebase import (count_ft_content, lowered_counts, lowered_t_depth,
+                             rebased_counts, t_depth)
+
+    assert rebased_counts(qc) == count_nisq(rebase_tk1_cnot(qc))
+    lowered = lower_to_rotations_clifford_t(qc)
+    assert lowered_counts(qc) == count_ft_content(lowered)
+    for t in (1, 4, 57):
+        assert lowered_t_depth(qc, t) == t_depth(lowered, t)
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_counters_match_compiled_circuits(trial):
+    rng = np.random.default_rng(300 + trial)
+    assert_counters_match_passes(random_alphabet_circuit(9, 60, rng))
+
+
+@pytest.mark.parametrize("kind, n_slices", [("Barrier", 2), ("Lookback", 3)])
+def test_counters_match_compiled_plan_circuits(kind, n_slices):
+    from qmci.distributions import standard_circuit
+    from qmci.pbuilder import InstrumentSpec, build_instrument
+    from qmci.resources import build_plan
+
+    spec = InstrumentSpec(kind, space="return", n_slices=n_slices, total_volatility=0.2,
+                          strike_ratio=1.05, barrier_ratio=1.2 if kind == "Barrier" else None)
+    dc, cfgs = build_instrument(standard_circuit("gaussian_unit_6q"), spec)
+    qs, dim = cfgs[0].quantity_spec(dc)
+    plan = build_plan(dc, qs, dim, "MLQAE", target_rmse=1e-2, condition=cfgs[0].condition)
+    for qc in (plan.a_circuit, plan.grover):
+        assert_counters_match_passes(qc)

@@ -297,16 +297,23 @@ def test_benchmark_shape_monotonicity():
 
 @pytest.mark.parametrize("mode", ["nisq", "ft", "ft_tight"])
 def test_resources_request_counts_each_circuit_once(tmp_path, monkeypatch, mode):
-    # a one-plan request: nisq rebases A and Q once each and lowers
-    # nothing; ft and ft_tight lower A and Q once each and rebase nothing
-    from qmci import resources
+    # a one-plan request: nisq counts A and Q once each as rebased and
+    # nothing as lowered; ft and ft_tight count the content and the T depth
+    # of A and Q lowered once each and nothing as rebased; neither compiled
+    # circuit is built
+    from qmci import rebase, resources
     from qmci.cli import main
 
-    calls = {"rebase_tk1_cnot": [], "lower_to_rotations_clifford_t": []}
+    def built(c):
+        raise AssertionError("a resources request built a compiled circuit")
+
+    for name in ("rebase_tk1_cnot", "lower_to_rotations_clifford_t"):
+        monkeypatch.setattr(rebase, name, built)
+    calls = {"rebased_counts": [], "lowered_counts": [], "lowered_t_depth": []}
     for name, seen in calls.items():
         fn = getattr(resources, name)
         monkeypatch.setattr(resources, name,
-                            lambda c, fn=fn, seen=seen: seen.append(c.key()) or fn(c))
+                            lambda c, *a, fn=fn, seen=seen: seen.append(c.key()) or fn(c, *a))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "mode": mode,
@@ -315,10 +322,11 @@ def test_resources_request_counts_each_circuit_once(tmp_path, monkeypatch, mode)
         "quantity": {"quantity": "Mean", "q_total": 2000},
     }))
     assert main(["resources", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
-    rebased, lowered = calls.values()
-    counted, idle = (rebased, lowered) if mode == "nisq" else (lowered, rebased)
-    assert len(counted) == len(set(counted)) == 2
-    assert idle == []
+    rebased, *lowered = calls.values()
+    counted, idle = ([rebased], lowered) if mode == "nisq" else (lowered, [rebased])
+    for seen in counted:
+        assert len(seen) == len(set(seen)) == 2
+    assert all(seen == [] for seen in idle)
 
 
 def test_box_t_count_and_t_depth_follow_one_rule():

@@ -5,10 +5,9 @@ Subcommands: ``dist load|metrics|train``, ``estimate``, ``resources``,
 ``qae-sweep``.  One config file per invocation (single positional
 argument), outputs under ``--out-dir`` (default: the config's directory).
 All randomness flows from the config seed; outputs are byte-identical
-across reruns.  Exit codes: 0 success, 2 config/schema error (an
-instrument too large to price included), 3 numeric failure.  Multiple
-sweep configurations run in a thread pool capped by the ``QMCI_THREADS``
-environment variable.
+across reruns.  Exit codes: 0 success, 2 config error (a block against its
+table in ``TABLES``, or an instrument too large to price), 3 numeric
+failure.  Sweeps run in a thread pool capped by ``QMCI_THREADS``.
 """
 from __future__ import annotations
 
@@ -28,24 +27,9 @@ from . import pbuilder as pb_mod
 from . import qae as qae_mod
 from . import resources as res_mod
 from . import robustness as rob_mod
+from .schema import (REQUIRED, SchemaError, integer, list_of, object_, one_of, optional, read,
+                     real, string)
 from .simulator import CircuitTooLarge
-
-
-class SchemaError(Exception):
-    pass
-
-
-class NumericError(Exception):
-    pass
-
-
-def _check_keys(cfg: dict, allowed: set, required: set, where: str):
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(cfg)
-    if missing:
-        raise SchemaError(f"{where}: missing keys {sorted(missing)}")
 
 
 def _atomic_write(path: str, text: str):
@@ -78,19 +62,90 @@ def _dump_json(obj) -> str:
 
 
 # --------------------------------------------------------------------------
-# distribution sources
+# config blocks: key -> (rule, default | REQUIRED), read by schema.read
 
 
 _PDFS = {"gaussian": dist_mod.gaussian_pdf, "lognormal": dist_mod.lognormal_pdf}
+_N_QUBITS = integer(1, dist_mod.MAX_LOADER_QUBITS)
+_COORD = real(-dist_mod.MAX_GRID_VALUE, dist_mod.MAX_GRID_VALUE)
+_SCALE = real(0, dist_mod.MAX_GRID_VALUE)
+_GRID = {"x_l": (_COORD, 0.0), "delta": (_SCALE, 1.0)}
+_PDF = {"mu": (_COORD, 0.0), "sigma": (_SCALE, 1.0)}
+_QAE = one_of(*qae_mod.C_QAE_REFERENCE)
+_RUN = {"distribution": (object_, REQUIRED), "quantity": (object_, None),
+        "instrument": (object_, None), "qae": (object_, {})}
+
+TABLES = {
+    "distribution": {
+        "source": (one_of("standard", "pmf_csv", *_PDFS), REQUIRED),
+        "kind": (optional(one_of(*dist_mod.STANDARD_CIRCUITS)), None),
+        "path": (optional(string), None),
+        "n_qubits": (_N_QUBITS, None),
+        **_GRID,
+        **_PDF,
+    },
+    "target": {
+        "pdf": (one_of(*_PDFS), "gaussian"),
+        **_PDF,
+        "pmf_csv": (optional(string), None),
+    },
+    "quantity": {
+        "quantity": (one_of(*fourier_mod.QUANTITY_KINDS), REQUIRED),
+        "dimension": (integer(0), 0),
+        "condition": (optional(integer(0)), None),
+        "x_star": (optional(real()), None),
+        "support_window": (optional(list_of(real(), length=2)), None),
+        "q_total": (optional(integer(1)), None),
+        "target_rmse": (optional(real(0)), None),
+    },
+    "qae": {"qae": (_QAE, "MLQAE"), "p_max_fail": (real(0, 1), 0.5)},
+    "estimate": {"seed": (integer(0), REQUIRED), **_RUN},
+    "resources": {
+        "seed": (integer(0), 0),
+        "mode": (one_of("nisq", "ft", "ft_tight"), REQUIRED),
+        "target_mse": (real(0), None),
+        **_RUN,
+    },
+    "qae-sweep": {
+        "qae": (_QAE, REQUIRED),
+        "amplitudes": (list_of(real(0, 1), distinct=True), REQUIRED),
+        "q_list": (list_of(integer(1), distinct=True), REQUIRED),
+        "repeats": (integer(100), 500),
+        "seed": (integer(0), 0),
+        "p_max_fail": (real(0, 1), 0.5),
+        "n_resamples": (integer(100), 200),
+    },
+    "sweeps": {"sweeps": (list_of(object_), REQUIRED)},
+    "load": {"distribution": (object_, REQUIRED)},
+    "metrics": {"distribution": (object_, REQUIRED), "target": (object_, REQUIRED)},
+    "train": {
+        "target": (object_, REQUIRED),
+        "n_qubits": (_N_QUBITS, REQUIRED),
+        **_GRID,
+        "n_layers": (integer(0), REQUIRED),
+        "norm": (one_of(*dist_mod.TRAIN_NORMS), "L2"),
+        "seed": (integer(0), 0),
+    },
+}
+# the distribution keys each source needs: given and not null
+SOURCE_NEEDS = {"standard": ("kind",), "pmf_csv": ("path",),
+                **{pdf: ("n_qubits", "x_l", "delta") for pdf in _PDFS}}
 
 
-def _read_pmf(where: str, path=None, pdf="gaussian", mu=0.0, sigma=1.0,
+def _read(cfg, block: str) -> dict:
+    return read(cfg, TABLES[block], block)
+
+
+# --------------------------------------------------------------------------
+# distribution sources
+
+
+def _read_pmf(where: str, path=None, pdf=None, mu=None, sigma=None,
               grid=None) -> np.ndarray:
     """The PMF of a distribution or target block: the lines of the CSV file
     at ``path``, or else ``pdf`` discretised on ``grid`` = (n_qubits, x_l,
-    delta).  Anything that does not give 2^n finite non-negative entries
-    (2^n_qubits with a grid), a sigma that is not positive and a pdf that
-    vanishes on the grid, is a config error."""
+    delta).  Anything but 2^n finite non-negative entries, n at most the
+    loader cap (n_qubits with a grid), is a config error."""
     if path is not None:
         try:
             with open(path) as f:
@@ -98,69 +153,42 @@ def _read_pmf(where: str, path=None, pdf="gaussian", mu=0.0, sigma=1.0,
         except (OSError, ValueError) as e:
             raise SchemaError(f"{where}: cannot read a PMF from {path!r}: {e}") from None
     else:
-        if pdf not in _PDFS:
-            raise SchemaError(f"{where}: unknown pdf {pdf!r}")
-        if not (_is_finite(mu) and _is_finite(sigma) and sigma > 0):
-            raise SchemaError(f"{where}: mu must be finite and sigma positive, "
-                              f"got mu={mu!r}, sigma={sigma!r}")
         try:
             pmf = dist_mod.discretize_pdf(lambda x: _PDFS[pdf](x, mu, sigma), *grid)
         except ValueError as e:
             raise SchemaError(f"{where}: {e}") from None
-    n = len(pmf)
-    if n == 0 or n & (n - 1) or (grid is not None and n != 2 ** grid[0]):
-        raise SchemaError(f"{where}: a PMF needs 2^n entries, got {n}")
+    n, cap = len(pmf), 2**dist_mod.MAX_LOADER_QUBITS
+    if n == 0 or n & (n - 1) or n > cap or (grid is not None and n != 2 ** grid[0]):
+        raise SchemaError(f"{where}: a PMF needs 2^n <= {cap} entries, got {n}")
     if not np.all(np.isfinite(pmf) & (pmf >= 0)):
         raise SchemaError(f"{where}: PMF entries must be finite and non-negative")
     return pmf
 
 
-def _delta(value, where: str) -> float:
-    if not _is_positive(value):
-        raise SchemaError(f"{where}: delta must be positive and finite, got {value!r}")
-    return value
-
-
-def _x_l(value, where: str) -> float:
-    if not _is_finite(value):
-        raise SchemaError(f"{where}: x_l must be a finite number, got {value!r}")
-    return value
-
-
 def _load_distribution(cfg: dict) -> dist_mod.DistributionCircuit:
-    _check_keys(
-        cfg,
-        {"source", "kind", "path", "n_qubits", "x_l", "delta", "mu", "sigma"},
-        {"source"},
-        "distribution",
-    )
-    src = cfg["source"]
+    d = _read(cfg, "distribution")
+    src = d["source"]
+    missing = [key for key in SOURCE_NEEDS[src] if cfg.get(key) is None]
+    if missing:
+        raise SchemaError(f"distribution: a {src} source needs {missing}")
     if src == "standard":
-        try:
-            return dist_mod.standard_circuit(cfg["kind"])
-        except ValueError as e:
-            raise SchemaError(f"distribution: {e}") from None
+        return dist_mod.standard_circuit(d["kind"])
     if src == "pmf_csv":
-        pmf = _read_pmf("distribution", path=cfg["path"])
-        x_l = _x_l(cfg.get("x_l", 0.0), "distribution")
-        delta = _delta(cfg.get("delta", 1.0), "distribution")
-    elif src in _PDFS:
-        for key in ("n_qubits", "x_l", "delta"):
-            if key not in cfg:
-                raise SchemaError(f"distribution: {src} needs {key}")
-        x_l, delta = _x_l(cfg["x_l"], "distribution"), _delta(cfg["delta"], "distribution")
-        pmf = _read_pmf("distribution", pdf=src, mu=cfg.get("mu", 0.0),
-                        sigma=cfg.get("sigma", 1.0), grid=(cfg["n_qubits"], x_l, delta))
+        pmf = _read_pmf("distribution", path=d["path"])
     else:
-        raise SchemaError(f"distribution: unknown source {src!r}")
-    return dist_mod.rescale(dist_mod.exact_pmf_loader(pmf), 0, x_l, delta)
+        pmf = _read_pmf("distribution", pdf=src, mu=d["mu"], sigma=d["sigma"],
+                        grid=(d["n_qubits"], d["x_l"], d["delta"]))
+    try:
+        loader = dist_mod.exact_pmf_loader(pmf)
+    except ValueError as e:  # a CSV PMF that does not sum to 1
+        raise SchemaError(f"distribution: {e}") from None
+    return dist_mod.rescale(loader, 0, d["x_l"], d["delta"])
 
 
 def _target_pmf(cfg: dict, n_qubits: int, x_l: float, delta: float) -> np.ndarray:
-    _check_keys(cfg, {"pdf", "mu", "sigma", "pmf_csv"}, set(), "target")
-    return _read_pmf("target", path=cfg.get("pmf_csv"), pdf=cfg.get("pdf", "gaussian"),
-                     mu=cfg.get("mu", 0.0), sigma=cfg.get("sigma", 1.0),
-                     grid=(n_qubits, x_l, delta))
+    t = _read(cfg, "target")
+    return _read_pmf("target", path=t["pmf_csv"], pdf=t["pdf"], mu=t["mu"],
+                     sigma=t["sigma"], grid=(n_qubits, x_l, delta))
 
 
 # --------------------------------------------------------------------------
@@ -169,14 +197,12 @@ def _target_pmf(cfg: dict, n_qubits: int, x_l: float, delta: float) -> np.ndarra
 
 def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
     if sub == "load":
-        if "distribution" in cfg:
-            _check_keys(cfg, {"distribution"}, set(), "load")
-        dc = _load_distribution(cfg.get("distribution", cfg))
+        dc = _load_distribution(_read(cfg, "load")["distribution"] if "distribution" in cfg else cfg)
         path = os.path.join(out_dir, "distribution_circuit.json")
         _atomic_write(path, _dump_json(dc.to_dict()))
         return [path]
     if sub == "metrics":
-        _check_keys(cfg, {"distribution", "target"}, {"distribution", "target"}, "metrics")
+        cfg = _read(cfg, "metrics")
         dc = _load_distribution(cfg["distribution"])
         d = dc.dims[0]
         target = _target_pmf(cfg["target"], d.n, d.x_l, d.delta)
@@ -185,25 +211,13 @@ def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
         _atomic_write(path, _dump_json(rep.to_dict()))
         return [path]
     if sub == "train":
-        _check_keys(
-            cfg,
-            {"target", "n_qubits", "x_l", "delta", "n_layers", "norm", "seed"},
-            {"target", "n_qubits", "n_layers"},
-            "train",
-        )
-        norm, n_layers = cfg.get("norm", "L2"), cfg["n_layers"]
-        if norm not in dist_mod.TRAIN_NORMS:
-            raise SchemaError(f"train: unknown norm {norm!r}")
-        if not isinstance(n_layers, int) or n_layers < 0:
-            raise SchemaError(f"train: n_layers must be an integer >= 0, got {n_layers!r}")
-        seed = _seed(cfg.get("seed", 0), "train")
-        x_l, delta = _x_l(cfg.get("x_l", 0.0), "train"), _delta(cfg.get("delta", 1.0), "train")
-        target = _target_pmf(cfg["target"], cfg["n_qubits"], x_l, delta)
+        cfg = _read(cfg, "train")
+        target = _target_pmf(cfg["target"], cfg["n_qubits"], cfg["x_l"], cfg["delta"])
         history: list[float] = []
         dc, cost = dist_mod.train_hwe(
-            target, n_layers, norm, seed, history=history
+            target, cfg["n_layers"], cfg["norm"], cfg["seed"], history=history
         )
-        dc = dist_mod.rescale(dc, 0, x_l, delta)
+        dc = dist_mod.rescale(dc, 0, cfg["x_l"], cfg["delta"])
         paths = []
         p1 = os.path.join(out_dir, "trained_circuit.json")
         _atomic_write(p1, _dump_json({"final_cost": cost, **dc.to_dict()}))
@@ -224,127 +238,48 @@ def cmd_dist(sub: str, cfg: dict, out_dir: str) -> list[str]:
 # estimate
 
 
-_QAE_KEYS = {"qae", "p_max_fail"}
-_QUANTITY_KEYS = {"quantity", "dimension", "condition", "x_star", "target_rmse",
-                  "q_total", "support_window"}
-
-
-def _is_int(value, lo: int) -> bool:
-    return type(value) is int and value >= lo
-
-
-def _is_finite(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
-
-
-def _is_positive(value) -> bool:
-    return type(value) in (int, float) and 0 < value < math.inf
-
-
-def _seed(value, where: str) -> int:
-    if not _is_int(value, 0):
-        raise SchemaError(f"{where}: seed must be an integer >= 0, got {value!r}")
-    return value
-
-
-def _p_max_fail(value, where: str) -> float:
-    if not (type(value) in (int, float) and 0 < value < 1):
-        raise SchemaError(f"{where}: p_max_fail must lie in (0, 1), got {value!r}")
-    return value
-
-
-def _qae_kind(cfg: dict) -> tuple[str, float]:
-    qcfg = cfg.get("qae", {})
-    _check_keys(qcfg, _QAE_KEYS, set(), "qae")
-    kind = qcfg.get("qae", "MLQAE")
-    if kind not in qae_mod.C_QAE_REFERENCE:
-        raise SchemaError(f"qae: unknown kind {kind!r}")
-    return kind, _p_max_fail(qcfg.get("p_max_fail", 0.5), "qae")
-
-
-def _quantity_block(qcfg: dict) -> pb_mod.PayoffConfig:
-    """The ``quantity`` block of an estimate or resources config."""
-    _check_keys(qcfg, _QUANTITY_KEYS, {"quantity"}, "quantity")
-    window = qcfg.get("support_window")
-    x_star = qcfg.get("x_star")
-    dimension = qcfg.get("dimension", 0)
-    if not isinstance(dimension, int):
-        raise SchemaError(f"quantity: dimension must be an integer, got {dimension!r}")
-    if window is not None and not (
-        isinstance(window, list) and len(window) == 2
-        and all(map(_is_finite, window)) and window[0] < window[1]
-    ):
-        raise SchemaError(f"quantity: support_window must be null or two finite numbers "
-                          f"lo < hi, got {window!r}")
-    if x_star is not None and not _is_finite(x_star):
-        raise SchemaError(f"quantity: x_star must be null or a finite number, got {x_star!r}")
-    return pb_mod.PayoffConfig(
-        qcfg["quantity"], dimension, qcfg.get("condition"),
-        x_star=None if x_star is None else float(x_star),
-        support_window=None if window is None else tuple(window),
-    )
-
-
-def _quantity_spec(dc, pc: pb_mod.PayoffConfig) -> tuple[fourier_mod.QuantitySpec, int]:
-    try:
-        return pc.quantity_spec(dc)
-    except ValueError as e:
-        raise SchemaError(str(e)) from None
-
-
-def _budget(q_total, target_rmse, where: str) -> tuple[int | None, float | None]:
-    """The (q_total, target_rmse) pair of a config: at least one of them,
-    q_total an integer >= 1, target_rmse positive and finite."""
+def _need_budget(block: str, key: str, q_total, target_rmse) -> tuple:
     if q_total is None and target_rmse is None:
-        raise SchemaError(f"{where}: give a use budget or target_rmse")
-    if q_total is not None and not _is_int(q_total, 1):
-        raise SchemaError(f"{where}: the use budget must be an integer >= 1, got {q_total!r}")
-    if target_rmse is not None and not _is_positive(target_rmse):
-        raise SchemaError(f"{where}: target_rmse must be positive and finite, got {target_rmse!r}")
+        raise SchemaError(f"{block}: give {key}, target_rmse or both")
     return q_total, target_rmse
-
-
-def _instrument_spec(cfg: dict) -> pb_mod.InstrumentSpec:
-    try:
-        return pb_mod.InstrumentSpec.from_dict(cfg)
-    except ValueError as e:
-        raise SchemaError(f"instrument: {e}") from None
 
 
 def _payoffs(cfg: dict, unit, where: str):
     """(circuit, payoff configs, (q_total, target_rmse)) of the
-    ``instrument`` or ``quantity`` block of an estimate or resources config."""
-    if "instrument" in cfg:
-        spec = _instrument_spec(cfg["instrument"])
-        budget = _budget(spec.q_budget, spec.target_rmse, "instrument")
+    ``instrument`` or ``quantity`` block of a read estimate or resources
+    config."""
+    if cfg["instrument"] is not None:
+        spec = pb_mod.InstrumentSpec.from_dict(cfg["instrument"])
+        budget = _need_budget("instrument", "q_budget", spec.q_budget, spec.target_rmse)
         return (*pb_mod.build_instrument(unit, spec), budget)
-    if "quantity" in cfg:
-        qcfg = cfg["quantity"]
-        pc = _quantity_block(qcfg)
-        return unit, [pc], _budget(qcfg.get("q_total"), qcfg.get("target_rmse"), "quantity")
-    raise SchemaError(f"{where}: give 'quantity' or 'instrument'")
+    if cfg["quantity"] is None:
+        raise SchemaError(f"{where}: give 'quantity' or 'instrument'")
+    q = _read(cfg["quantity"], "quantity")
+    window = q["support_window"]
+    if window is not None and not window[0] < window[1]:
+        raise SchemaError(f"quantity: support_window needs lo < hi, got {window!r}")
+    pc = pb_mod.PayoffConfig(
+        q["quantity"], q["dimension"], q["condition"],
+        x_star=None if q["x_star"] is None else float(q["x_star"]),
+        support_window=None if window is None else tuple(window),
+    )
+    return unit, [pc], _need_budget("quantity", "q_total", q["q_total"], q["target_rmse"])
 
 
 def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
-    _check_keys(
-        cfg,
-        {"seed", "distribution", "quantity", "instrument", "qae"},
-        {"seed", "distribution"},
-        "estimate",
-    )
-    seed = _seed(cfg["seed"], "estimate")
-    qae_kind, p_max_fail = _qae_kind(cfg)
+    cfg = _read(cfg, "estimate")
+    qae = _read(cfg["qae"], "qae")
     unit = _load_distribution(cfg["distribution"])
-    out: dict = {"qae": qae_kind, "seed": seed}
+    out: dict = {"qae": qae["qae"], "seed": cfg["seed"]}
     dc, pcfgs, budget = _payoffs(cfg, unit, "estimate")
     runs = []
     for i, pc in enumerate(pcfgs):
-        qs, dim = _quantity_spec(dc, pc)
+        qs, dim = pc.quantity_spec(dc)
         runs.append((pc, fourier_mod.qmci_estimate(
-            dc, qs, dim, qae_kind, *budget,
-            seed=seed + i, condition=pc.condition, lcu_p_max_fail=p_max_fail,
+            dc, qs, dim, qae["qae"], *budget,
+            seed=cfg["seed"] + i, condition=pc.condition, lcu_p_max_fail=qae["p_max_fail"],
         )))
-    if "instrument" in cfg:
+    if cfg["instrument"] is not None:
         out["payoff"] = 0.0
         for pc, res in runs:
             out["payoff"] += pc.scale * res.estimate + pc.offset
@@ -361,28 +296,16 @@ def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
 
 
 def cmd_resources(cfg: dict, out_dir: str) -> list[str]:
-    _check_keys(
-        cfg,
-        {"seed", "mode", "distribution", "quantity", "instrument", "qae",
-         "target_mse"},
-        {"mode", "distribution"},
-        "resources",
-    )
-    mode = cfg["mode"]
-    if mode not in ("nisq", "ft", "ft_tight"):
-        raise SchemaError(f"resources: unknown mode {mode!r}")
-    qae_kind, _ = _qae_kind(cfg)
+    cfg = _read(cfg, "resources")
+    mode, target_mse = cfg["mode"], cfg["target_mse"]
+    qae_kind = _read(cfg["qae"], "qae")["qae"]
     if qae_kind == "IQAE":
         raise SchemaError("resources: IQAE has a data-dependent schedule; no resource plan")
-    target_mse = cfg.get("target_mse")
-    if "target_mse" in cfg and not _is_positive(target_mse):
-        raise SchemaError(f"resources: target_mse must be positive and finite, "
-                          f"got {target_mse!r}")
     unit = _load_distribution(cfg["distribution"])
     dc, pcfgs, budget = _payoffs(cfg, unit, "resources")
     plans = []
     for pc in pcfgs:
-        qs, dim = _quantity_spec(dc, pc)
+        qs, dim = pc.quantity_spec(dc)
         plans.append(res_mod.build_plan(dc, qs, dim, qae_kind, *budget, condition=pc.condition))
 
     reports = []
@@ -424,51 +347,16 @@ def cmd_resources(cfg: dict, out_dir: str) -> list[str]:
 # qae-sweep
 
 
-def _one_sweep(cfg: dict) -> rob_mod.SweepReport:
-    _check_keys(
-        cfg,
-        {"qae", "amplitudes", "q_list", "repeats", "seed", "p_max_fail",
-         "n_resamples"},
-        {"qae", "amplitudes", "q_list"},
-        "qae-sweep",
-    )
-    if cfg["qae"] not in qae_mod.C_QAE_REFERENCE:
-        raise SchemaError(f"qae-sweep: unknown qae kind {cfg['qae']!r}")
-    amplitudes, q_list = cfg["amplitudes"], cfg["q_list"]
-    repeats = cfg.get("repeats", 500)
-    n_resamples = cfg.get("n_resamples", 200)
-    if not (_is_int(repeats, 100) and _is_int(n_resamples, 100)):
-        raise SchemaError(f"qae-sweep: repeats ({repeats!r}) and n_resamples "
-                          f"({n_resamples!r}) must be integers >= 100")
-    if not (isinstance(amplitudes, list) and amplitudes
-            and all(type(a) in (int, float) and 0 < a < 1 for a in amplitudes)):
-        raise SchemaError(f"qae-sweep: amplitudes must be a non-empty list of numbers "
-                          f"in (0, 1), got {amplitudes!r}")
-    if not (isinstance(q_list, list) and q_list and all(_is_int(q, 1) for q in q_list)):
-        raise SchemaError(f"qae-sweep: q_list must be a non-empty list of integers >= 1, "
-                          f"got {q_list!r}")
-    if len(set(amplitudes)) < len(amplitudes) or len(set(q_list)) < len(q_list):
-        raise SchemaError(f"qae-sweep: amplitudes ({amplitudes!r}) and q_list ({q_list!r}) "
-                          f"must not repeat an entry")
+def _one_sweep(s: dict) -> rob_mod.SweepReport:
     return rob_mod.amplitude_sweep(
-        cfg["qae"],
-        amplitudes,
-        q_list,
-        repeats=repeats,
-        seed=_seed(cfg.get("seed", 0), "qae-sweep"),
-        n_resamples=n_resamples,
-        p_max_fail=_p_max_fail(cfg.get("p_max_fail", 0.5), "qae-sweep"),
+        s["qae"], s["amplitudes"], s["q_list"], repeats=s["repeats"], seed=s["seed"],
+        n_resamples=s["n_resamples"], p_max_fail=s["p_max_fail"],
     )
 
 
 def cmd_qae_sweep(cfg: dict, out_dir: str) -> list[str]:
-    if "sweeps" in cfg:
-        _check_keys(cfg, {"sweeps"}, set(), "qae-sweep")
-        sweeps = cfg["sweeps"]
-        if not isinstance(sweeps, list) or not sweeps:
-            raise SchemaError("qae-sweep: 'sweeps' must be a non-empty list")
-    else:
-        sweeps = [cfg]
+    sweeps = _read(cfg, "sweeps")["sweeps"] if "sweeps" in cfg else [cfg]
+    sweeps = [_read(s, "qae-sweep") for s in sweeps]
     env = os.environ.get("QMCI_THREADS", "1")
     try:
         threads = max(1, int(env))
@@ -517,6 +405,8 @@ def main(argv=None) -> int:
     out_dir = args.out_dir or os.path.dirname(os.path.abspath(args.config))
 
     try:
+        if not isinstance(cfg, dict):
+            raise SchemaError(f"a config must be an object, got {cfg!r}")
         if args.command == "dist":
             paths = cmd_dist(args.subcommand, cfg, out_dir)
         elif args.command == "estimate":
@@ -525,7 +415,7 @@ def main(argv=None) -> int:
             paths = cmd_resources(cfg, out_dir)
         else:
             paths = cmd_qae_sweep(cfg, out_dir)
-    except (SchemaError, KeyError, TypeError, CircuitTooLarge) as e:
+    except (SchemaError, CircuitTooLarge) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:

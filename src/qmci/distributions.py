@@ -21,6 +21,9 @@ from .circuit import QuantumCircuit
 from .gates import gate
 from .simulator import apply_gate, exact_marginal, simulate, zero_state
 
+MAX_LOADER_QUBITS = 20  # widest loader a config may ask for: 2^20 entries, 8 MB a vector
+MAX_GRID_VALUE = 1e12  # bound on a config's |x_l|, delta, |mu|, sigma: grid points stay finite
+
 
 @dataclass(frozen=True)
 class Dimension:
@@ -157,7 +160,7 @@ _LOGNORMAL_1_400_6Q = [
     (0.77, 1.30, 0.45, 2.89, 4.72, 0.07, 6.23),
 ]
 
-_STANDARD = {
+STANDARD_CIRCUITS = {
     "gaussian_unit_6q": (_GAUSSIAN_6Q, -5.0, 10.0 / 63.0),
     "lognormal_1_800_6q": (_LOGNORMAL_1_800_6Q, 0.83, 0.01),
     "lognormal_1_400_6q": (_LOGNORMAL_1_400_6Q, 0.77, 0.01),
@@ -186,9 +189,9 @@ def hwe_circuit(angles: np.ndarray, name: str = "hwe") -> QuantumCircuit:
 
 def standard_circuit(kind: str) -> DistributionCircuit:
     """One of the published six-qubit loader circuits with its metadata."""
-    if kind not in _STANDARD:
+    if kind not in STANDARD_CIRCUITS:
         raise ValueError(f"unknown standard circuit {kind!r}")
-    per_qubit, x_l, delta = _STANDARD[kind]
+    per_qubit, x_l, delta = STANDARD_CIRCUITS[kind]
     angles = np.array(per_qubit, dtype=float).T  # (7 layers, 6 qubits)
     qc = hwe_circuit(angles, name=kind)
     return DistributionCircuit(qc, [Dimension(tuple(range(6)), x_l, delta)])

@@ -33,13 +33,15 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 
 from .circuit import QuantumCircuit, controlled_x
 from .distributions import Dimension, DistributionCircuit
-from .fourier import INDICATOR_KINDS, QUANTITY_KINDS, QuantitySpec, quantity_series
+from .fourier import INDICATOR_KINDS, QuantitySpec, quantity_series
 from .gates import Gate, gate
+from .schema import (REQUIRED, Rule, SchemaError, check, integer, list_of, one_of, optional,
+                     read, real, tuple_of)
 
 # a "bit" in the generic adder: ("q", index), ("nq", index) for a negated
 # qubit, or ("c", 0 | 1) for a constant
@@ -109,17 +111,15 @@ class PayoffConfig:
 
     def quantity_spec(self, dc: DistributionCircuit) -> tuple[QuantitySpec, int]:
         """The quantity descriptor of this run on ``dc``, and the dimension
-        it integrates; a config that does not fit ``dc`` raises ValueError."""
-        if self.quantity not in QUANTITY_KINDS:
-            raise ValueError(f"quantity: unknown kind {self.quantity!r}")
+        it integrates; a config that does not fit ``dc`` raises SchemaError."""
         if self.quantity in INDICATOR_KINDS and self.condition not in range(len(dc.indicators)):
-            raise ValueError(f"quantity: {self.quantity} needs a condition indexing the loader's "
-                             f"{len(dc.indicators)} indicators, got {self.condition!r}")
+            raise SchemaError(f"quantity: {self.quantity} needs a condition indexing the loader's "
+                              f"{len(dc.indicators)} indicators, got {self.condition!r}")
         if self.quantity == "BernoulliQubit":
             return quantity_series("BernoulliQubit", (0.0, 1.0)), 0
         if not 0 <= self.dimension < len(dc.dims):
-            raise ValueError(f"quantity: dimension {self.dimension} outside the loader's "
-                             f"{len(dc.dims)} registers")
+            raise SchemaError(f"quantity: dimension {self.dimension} outside the loader's "
+                              f"{len(dc.dims)} registers")
         d = dc.dims[self.dimension]
         qs = quantity_series(self.quantity, self.support_window or (d.x_l, d.x_u))
         if self.x_star is not None:
@@ -128,45 +128,56 @@ class PayoffConfig:
         return qs, self.dimension
 
 
+MAX_VOLATILITY = 100.0  # the return-space payoff window reaches e^(5 * total_volatility)
+MAX_RATIO = 1e6  # strike, barrier and autocall levels, as multiples of the spot
+
+
+def _rule(rule: Rule, default=MISSING):
+    return field(default=default, metadata={"rule": rule})
+
+
 @dataclass
 class InstrumentSpec:
-    instrument: str  # Barrier | Lookback | Autocallable
-    space: str = "return"  # return | price
-    n_slices: int = 4
-    total_volatility: float = 0.1
-    call_or_put: str = "call"
-    strike_ratio: float = 1.05
-    barrier_ratio: float | None = None
-    barrier_kind: str | None = None  # knock_in | knock_out
-    autocall_schedule: list = field(default_factory=list)  # (slice, level, payout)
-    payoff_kind: str = "value"  # value | binary
-    binary_payout: float = 1.0
-    target_rmse: float | None = None
-    q_budget: int | None = None
+    """A Barrier, Lookback or Autocallable on ``n_slices`` slices of a
+    one-dimensional loader.  Each field carries its rule; the rules that
+    join fields follow them in ``__post_init__``."""
+
+    instrument: str = _rule(one_of("Barrier", "Lookback", "Autocallable"))
+    space: str = _rule(one_of("return", "price"), "return")
+    n_slices: int = _rule(integer(1), 4)
+    total_volatility: float = _rule(real(0, MAX_VOLATILITY), 0.1)
+    call_or_put: str = _rule(one_of("call", "put"), "call")
+    strike_ratio: float = _rule(real(0, MAX_RATIO), 1.05)
+    barrier_ratio: float | None = _rule(optional(real(0, MAX_RATIO)), None)
+    barrier_kind: str | None = _rule(optional(one_of("knock_out")), None)
+    # (slice, level, payout) rows, slices strictly increasing
+    autocall_schedule: list | tuple = _rule(
+        list_of(tuple_of(integer(1), real(0, MAX_RATIO), real()), empty=True), ())
+    payoff_kind: str = _rule(one_of("value", "binary"), "value")
+    binary_payout: float = _rule(real(), 1.0)
+    target_rmse: float | None = _rule(optional(real(0)), None)
+    q_budget: int | None = _rule(optional(integer(1)), None)
 
     def __post_init__(self):
-        if self.instrument not in ("Barrier", "Lookback", "Autocallable"):
-            raise ValueError(f"unsupported instrument {self.instrument!r}")
-        if self.space not in ("return", "price"):
-            raise ValueError("space must be 'return' or 'price'")
-        if self.n_slices < 1:
-            raise ValueError("need n_slices >= 1")
-        if self.total_volatility <= 0:
-            raise ValueError("volatility must be positive")
-        if self.call_or_put not in ("call", "put"):
-            raise ValueError("call_or_put must be 'call' or 'put'")
-        if self.payoff_kind not in ("value", "binary"):
-            raise ValueError("payoff_kind must be 'value' or 'binary'")
+        for f in fields(self):
+            check("instrument", f.name, getattr(self, f.name), f.metadata["rule"])
+        if self.instrument == "Barrier" and self.barrier_ratio is None:
+            raise SchemaError("instrument: a Barrier needs barrier_ratio")
         ts = [t for (t, _, _) in self.autocall_schedule]
-        if ts != sorted(set(ts)):
-            raise ValueError("autocall schedule slices must be strictly increasing")
+        if self.instrument == "Autocallable" and not ts:
+            raise SchemaError("instrument: an Autocallable needs an autocall_schedule")
+        if ts != sorted(set(ts)) or ts and ts[-1] > self.n_slices:
+            raise SchemaError(f"instrument: autocall_schedule slices must be strictly "
+                              f"increasing and at most n_slices = {self.n_slices}, got {ts}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "InstrumentSpec":
-        d = dict(d)
-        if "autocall_schedule" in d:
-            d["autocall_schedule"] = [tuple(x) for x in d["autocall_schedule"]]
-        return cls(**d)
+        return cls(**read(d, INSTRUMENT_TABLE, "instrument"))
+
+
+# the instrument block of a config: every field with its rule and default
+INSTRUMENT_TABLE = {f.name: (f.metadata["rule"], REQUIRED if f.default is MISSING else f.default)
+                    for f in fields(InstrumentSpec)}
 
 
 # --------------------------------------------------------------------------
@@ -703,6 +714,9 @@ def build_instrument(
         spec.total_volatility / math.sqrt(spec.n_slices) if ret_space else None
     )
     dc = _compose_slices(unit, spec.n_slices, sigma_slice)
+    if not ret_space and dc.dims[0].x_l < 0:  # the path products need prices >= 0
+        raise SchemaError(f"instrument: price space needs a loader with x_l >= 0, "
+                          f"got x_l = {unit.dims[0].x_l}")
     dc = build_brownian(dc, geometric=not ret_space)
     path = list(range(spec.n_slices, 2 * spec.n_slices))
     quantity = "ConditionalExponential" if ret_space else "ConditionalExpectation"
@@ -753,10 +767,6 @@ def build_instrument(
     if spec.instrument in ("Barrier", "Lookback"):
         strike = level(spec.strike_ratio)
         if spec.instrument == "Barrier":
-            if spec.barrier_ratio is None:
-                raise ValueError("barrier option needs barrier_ratio")
-            if spec.barrier_kind not in (None, "knock_out"):
-                raise ValueError("only knock_out barriers are built in")
             barrier = level(spec.barrier_ratio)
             inds = [threshold(p, barrier, lower=False) for p in path]
             pay_dim = path[-1]
@@ -778,12 +788,8 @@ def build_instrument(
         return dc, configs
 
     # autocallable: binary call legs plus a knock-out put leg
-    if not spec.autocall_schedule:
-        raise ValueError("autocallable needs a schedule")
     sched = list(spec.autocall_schedule)
     for idx, (t_i, k_i, b_i) in enumerate(sched):
-        if not 1 <= t_i <= spec.n_slices:
-            raise ValueError(f"schedule slice {t_i} outside 1..{spec.n_slices}")
         inds = [threshold(path[t_j - 1], level(k_j), lower=False) for t_j, k_j, _ in sched[:idx]]
         inds.append(threshold(path[t_i - 1], level(k_i), lower=True))
         configs.append(PayoffConfig("BernoulliQubit", None, all_of(inds), scale=b_i,

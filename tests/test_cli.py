@@ -451,6 +451,18 @@ def test_bad_budget_exits_2(tmp_path, command, block, bad, capsys):
 
 
 @pytest.mark.parametrize("command", ["estimate", "resources"])
+def test_price_space_needs_a_loader_of_prices(tmp_path, command, capsys):
+    # the geometric path multiplies slice prices: UNIT_2Q's grid starts at -5
+    cfg = {"seed": 1, "mode": "nisq", "distribution": UNIT_2Q,
+           "instrument": {**BARRIER, "space": "price", "q_budget": 500}}
+    if command == "estimate":
+        del cfg["mode"]
+    assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+    assert "x_l" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "resources"])
 @pytest.mark.parametrize("quantity, condition", [
     ("ConditionalExpectation", None), ("BernoulliQubit", None), ("BernoulliQubit", 1),
 ])
@@ -653,9 +665,10 @@ _CSVS = {"non_numeric": "0.5\nabc\n0.25\n0.25\n", "length_3": "0.5\n0.25\n0.25\n
     {"source": "pmf_csv", "path": "ok.csv", "x_l": "a"},
     {**_GAUSSIAN_3Q, "x_l": True},
     {**_GAUSSIAN_3Q, "x_l": float("nan")},
+    {"source": "pmf_csv", "path": "sum_1_1.csv"},
 ])
 def test_bad_distribution_exits_2(tmp_path, bad, capsys):
-    for name, text in {**_CSVS, "ok": "0.5\n0.5\n"}.items():
+    for name, text in {**_CSVS, "ok": "0.5\n0.5\n", "sum_1_1": "0.5\n0.6\n"}.items():
         (tmp_path / f"{name}.csv").write_text(text)
     if "path" in bad:
         bad = {**bad, "path": str(tmp_path / bad["path"])}

@@ -390,6 +390,21 @@ def test_instrument_spec_validation():
         InstrumentSpec("Barrier", payoff_kind="maybe")
     with pytest.raises(ValueError, match="call_or_put"):
         InstrumentSpec("Barrier", call_or_put="cal")
+    nan, inf = float("nan"), float("inf")
+    for field, bad in [
+        *(("binary_payout", {"binary_payout": v}) for v in (nan, inf, -inf, True)),
+        *((k, {k: v}) for k in ("strike_ratio", "barrier_ratio") for v in (0, -1, inf, -inf)),
+        ("n_slices", {"n_slices": True}),
+        *(("total_volatility", {"total_volatility": v}) for v in (True, 1e308)),
+        ("barrier_ratio", {"barrier_ratio": None}),
+        ("barrier_kind", {"barrier_kind": "knock_in"}),
+        *(("autocall_schedule", {"instrument": "Autocallable", "n_slices": 2,
+                                 "autocall_schedule": s})
+          for s in ([(1, 1.05, nan)], [(0, 1.05, 0.1)], [(5, 1.05, 0.1)], [(1, 0, 0.1)],
+                    [(1, -1, 0.1)], [(1, nan, 0.1)], [], None, [1])),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            InstrumentSpec(**{"instrument": "Barrier", "barrier_ratio": 1.1, **bad})
 
 
 # A two-slice Barrier (16 qubits) and a one-slice Lookback (8 qubits; a

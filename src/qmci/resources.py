@@ -22,8 +22,6 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
-from scipy.optimize import brentq
-
 from .circuit import QuantumCircuit, ResourceBox
 from .distributions import DistributionCircuit, rescale
 from . import fourier as fourier_mod
@@ -205,16 +203,20 @@ def ft_objective(plan: QmciPlan, q: float, eps: float) -> float:
     return q / 2.0 * (3.0 * content.rotation_count * math.log2(1.0 / eps) + content.t_count_exact)
 
 
+def _eps_share(plan: QmciPlan, tight: bool) -> tuple[float, float]:
+    """(k, p) with eps_tot = k q^p eps after q oracle uses: the coherent
+    worst case q n_R eps, or the quasi-orthogonal 2 sqrt(q n_R / 2) eps
+    when ``tight``."""
+    n_r_q = plan.ft_counts[1].rotation_count
+    return (math.sqrt(2.0 * n_r_q), 0.5) if tight else (float(n_r_q), 1.0)
+
+
 def ft_constraint(plan: QmciPlan, q: float, eps: float, target_mse: float,
                   tight: bool = False) -> float:
     """The optimizer's MSE model at (q, eps), the error model's MSE plus
     eps_tot R^3 / 3, for the caller to compare against ``target_mse``."""
-    n_r_q = plan.ft_counts[1].rotation_count
-    if tight:
-        eps_tot = 2.0 * math.sqrt(0.5 * q * n_r_q) * eps
-    else:
-        eps_tot = q * n_r_q * eps
-    return plan.error.mse(q) + eps_tot / 3.0 * plan.quantity_range**3
+    k, p = _eps_share(plan, tight)
+    return plan.error.mse(q) + k * q**p * eps / 3.0 * plan.quantity_range**3
 
 
 def ft_optimize(
@@ -224,64 +226,59 @@ def ft_optimize(
 ) -> FtSolution:
     """Optimal (q, epsilon) minimising the T count (``ft_objective``)
     subject to the MSE budget (``ft_constraint``), with per-rotation synthesis
-    cost 3 log2(1/eps) T gates (Ross & Selinger, arXiv:1403.2975).
+    cost 3 log2(1/eps) T gates (Ross & Selinger, arXiv:1403.2975) and eps in
+    [1e-18, 0.5].  ``tight`` swaps the coherent worst-case eps_tot = q n_R eps
+    for the quasi-orthogonal model 2 sqrt(q n_R / 2) eps.
 
-    ``tight`` swaps the coherent worst-case eps_tot = q n_R eps for the
-    quasi-orthogonal model 2 sqrt(q n_R / 2) eps.
+    The constraint binds at the optimum, so with eps_tot = k q^p eps, eps is
+    eps*(q) = 3 (target_mse - mse(q)) / (k q^p R^3), clipped to its range, and
+    one golden-section search over log q minimises the count at (q, eps*(q)).
+    As mse(q) falls as 1/q^2, eps*(q) rises from 0 at q_min, where mse(q_min)
+    = target_mse, to a peak where mse(q) = p target_mse / (2 + p), and falls
+    after it, where the count only grows: so the two bracket the optimum, and
+    the target is infeasible if eps* at the peak is below 1e-18.  A point below that bound ranks by its
+    shortfall before its count.  Returns the ceiling of the continuous
+    optimum q* and eps*(q*).
     """
     if target_mse <= 0:
         raise ValueError("target_mse must be positive")
-    q_min = plan.error.q_for_mse(target_mse)
+    eps_lo, eps_hi = 1e-18, 0.5
+    k, p = _eps_share(plan, tight)
+    r3 = plan.quantity_range**3
 
-    def q_of_eps(eps):
-        f = lambda q: ft_constraint(plan, q, eps, target_mse, tight) - target_mse
-        # f decreases from +inf at q_min then increases; find its minimum
-        lo = q_min * (1.0 + 1e-12)
-        hi = lo * 2.0
-        for _ in range(200):
-            if f(hi) > f(hi / 1.0000001):
-                break
-            hi *= 2.0
-        if f(lo) <= 0:
-            return lo
-        if f(hi) > 0:
-            return None  # infeasible at this eps
-        return float(brentq(f, lo, hi, xtol=1e-9, rtol=1e-14))
+    def solve(x):
+        """(shortfall, T count, eps*) at q = e^x; the shortfall is the
+        eps_tot over budget at eps = 1e-18."""
+        q = math.exp(x)
+        budget = 3.0 * (target_mse - plan.error.mse(q)) / r3   # eps_tot left
+        share = k * q**p
+        shortfall = max(0.0, eps_lo * share - budget)
+        eps = eps_hi if budget >= eps_hi * share else eps_lo if shortfall else budget / share
+        return shortfall, ft_objective(plan, q, eps), eps
 
-    def objective(eps):
-        q = q_of_eps(eps)
-        if q is None:
-            return None, None
-        return ft_objective(plan, q, eps), q
-
-    # golden-section on log eps over the feasible range
-    lo, hi = math.log(1e-18), math.log(0.5)
-    # shrink to the feasible region from the right
-    while objective(math.exp(hi))[0] is None and hi > lo:
-        hi -= 1.0
-    if objective(math.exp(hi))[0] is None:
+    lo = math.log(plan.error.q_for_mse(target_mse))
+    hi = math.log(plan.error.q_for_mse(p * target_mse / (2.0 + p)))
+    if solve(hi)[0] > 0:
         raise ValueError("MSE target infeasible for any (q, epsilon)")
+    # golden-section on log q; hi stays feasible throughout
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
-    f1, _ = objective(math.exp(x1))
-    f2, _ = objective(math.exp(x2))
+    f1, f2 = solve(x1)[:2], solve(x2)[:2]
     for _ in range(200):
-        if f1 is None or (f2 is not None and f2 < f1):
+        if f2 < f1:
             lo = x1
             x1, f1 = x2, f2
             x2 = lo + phi * (hi - lo)
-            f2, _ = objective(math.exp(x2))
+            f2 = solve(x2)[:2]
         else:
             hi = x2
             x2, f2 = x1, f1
             x1 = hi - phi * (hi - lo)
-            f1, _ = objective(math.exp(x1))
+            f1 = solve(x1)[:2]
         if hi - lo < 1e-10:
             break
-    eps_opt = math.exp(0.5 * (lo + hi))
-    q_opt = objective(eps_opt)[1]
-    return FtSolution(q=max(1, math.ceil(q_opt)), epsilon=eps_opt)
+    return FtSolution(q=max(1, math.ceil(math.exp(hi))), epsilon=solve(hi)[2])
 
 
 def ft_report(plan: QmciPlan, solution: FtSolution) -> ResourceReport:

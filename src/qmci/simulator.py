@@ -332,13 +332,3 @@ def sample(state: np.ndarray, qubits, n: int, seed: int) -> np.ndarray:
     p = np.clip(pmf, 0.0, None)
     p = p / p.sum()
     return rng.choice(len(pmf), size=n, p=p)
-
-
-def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    if a.shape != b.shape:
-        return False
-    return bool(abs(abs(np.vdot(a, b)) - 1.0) <= tol)
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    return float(abs(np.vdot(a, b)) ** 2)

@@ -50,6 +50,12 @@ def decode_all(dc, n_inputs, func, check_indicator=False, tol=1e-9):
     return len(nz)
 
 
+def states_equal_up_to_phase(a, b, tol=1e-10) -> bool:
+    if a.shape != b.shape:
+        return False
+    return bool(abs(abs(np.vdot(a, b)) - 1.0) <= tol)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240)

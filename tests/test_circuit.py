@@ -3,7 +3,9 @@ import pytest
 
 from qmci.circuit import QuantumCircuit, ResourceBox, controlled_x
 from qmci.gates import Gate, gate
-from qmci.simulator import simulate, states_equal_up_to_phase
+from qmci.simulator import simulate
+
+from conftest import states_equal_up_to_phase
 
 
 def test_gate_param_arity():

@@ -11,7 +11,9 @@ from qmci.rebase import (
     lower_to_rotations_clifford_t,
     rebase_tk1_cnot,
 )
-from qmci.simulator import simulate, states_equal_up_to_phase
+from qmci.simulator import simulate
+
+from conftest import states_equal_up_to_phase
 
 
 def pad_state(state, n_small, n_big):

@@ -367,6 +367,65 @@ def test_boxed_circuit_counts_survive_json_round_trip():
     assert t_depth(back, 10) == t_depth(lowered, 10) == max(1, 10) + 3
 
 
+
+@pytest.mark.parametrize("tight", [False, True])
+def test_ft_optimize_evaluation_budget(monkeypatch, tight):
+    from qmci.fourier import ErrorModel
+
+    calls = []
+    mse = ErrorModel.mse
+    monkeypatch.setattr(ErrorModel, "mse", lambda self, q: calls.append(q) or mse(self, q))
+    for target in (1e-6, 1e-4, 1e-2):
+        calls.clear()
+        ft_optimize(tiny_plan(), target, tight)
+        assert 0 < len(calls) <= 100, (target, len(calls))
+
+
+def test_ft_optimize_leaves_no_slack():
+    # the reported q is the smallest that meets the target at the reported eps
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        plan = tiny_plan(n_toffoli=int(rng.integers(1, 5)), n_rot=int(rng.integers(2, 8)))
+        plan.c_f = float(rng.uniform(1.0, 3.0))
+        plan.c_qae = float(rng.uniform(5.0, 15.0))
+        plan.quantity_range = float(rng.uniform(0.5, 2.0))
+        mse = float(10.0 ** rng.uniform(-6, -3))
+        for tight in (False, True):
+            sol = ft_optimize(plan, mse, tight)
+            assert sol.epsilon < 0.5
+            assert ft_constraint(plan, sol.q, sol.epsilon, mse, tight) <= mse
+            assert ft_constraint(plan, sol.q - 1, sol.epsilon, mse, tight) > mse
+
+
+@pytest.mark.parametrize("tight", [False, True])
+@pytest.mark.parametrize("n_rot", [1, 0])
+def test_ft_optimize_extreme_targets(n_rot, tight):
+    # a target is met or refused with the one documented error, never an
+    # overflow or a floating-point warning; a plan with no rotation has
+    # nothing to synthesise, so every target is met
+    import warnings
+
+    plan = QmciPlan(QuantumCircuit(2), QuantumCircuit(2), [[(0, 1)]], 1,
+                    "Mean", 1.68, 8.02, 1.0)
+    for _ in range(n_rot):
+        plan.grover.append("Ry", 0, 0.3)
+    plan.grover.append("T", 1)
+    for target in (1e-300, 1e-40, 1e-12, 1e-6, 1e-2, 10.0, 1e6):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if n_rot and target < 1e-12:
+                with pytest.raises(ValueError, match=r"^MSE target infeasible for any \(q, epsilon\)$"):
+                    ft_optimize(plan, target, tight)
+                continue
+            try:
+                sol = ft_optimize(plan, target, tight)
+            except ValueError as e:
+                assert n_rot and str(e) == "MSE target infeasible for any (q, epsilon)"
+                continue
+            assert 1e-18 <= sol.epsilon <= 0.5
+            assert ft_constraint(plan, sol.q, sol.epsilon, target, tight) <= target
+
+
 # totals and largest circuit of each report for a 2-slice Barrier on the
 # published six-qubit loader: any drift in the expansion order, ancilla
 # placement or chain depths of the compile layer changes them
@@ -474,7 +533,7 @@ def test_error_model_is_pinned(tmp_path):
     res = qmci_estimate(dc, spec, 0, "IQAE", q_total=50, seed=1, condition=0)
     assert res.rmse_bound == 2.0364675298172568  # 14.4 / sqrt(50)
     # the FT optimum of the Barrier's one plan at the default target_mse
-    for mode, want in (("ft", (8065, 4.012779769807919e-13)),
-                       ("ft_tight", (8155, 7.102090767376108e-10))):
+    for mode, want in (("ft", (8065, 4.0127799297533797e-13)),
+                       ("ft_tight", (8155, 7.102090443380333e-10))):
         (plan,) = _barrier_report(tmp_path / mode, "MLQAE", mode)["per_plan"]
         assert (plan["solution"]["q"], plan["solution"]["epsilon"]) == want

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .circuit import QuantumCircuit
 from .gates import gate
@@ -468,27 +467,24 @@ def train_hwe(
 
 def walk_binomial_pmf(n: int, p: float) -> np.ndarray:
     """Binomial PMF via a continuous quantum walk on the symmetrised
-    hypercube quotient (classical reference: matrix exponential, no circuit).
+    hypercube quotient (classical reference: exact evolution, no circuit).
 
-    Builds the (n+1)x(n+1) weighted-path adjacency matrix with
+    Builds the (n+1)x(n+1) weighted-path adjacency matrix A with
     superdiagonal sqrt((n-i)(i+1)), evolves ``exp(i tau A)`` for
-    ``tau = arccos(sqrt(p))`` and squares column 0.  The walk column lists
-    classes by descending success count, so it is reversed to return the
-    PMF indexed by k with entry binom(n, k) p^k (1-p)^(n-k).
+    ``tau = arccos(sqrt(p))`` through A's eigendecomposition (A is real
+    symmetric) and squares column 0.  The walk column lists classes by
+    descending success count, so it is reversed to return the PMF indexed
+    by k with entry binom(n, k) p^k (1-p)^(n-k).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    adj = np.zeros((n + 1, n + 1))
-    for i in range(n):
-        w = math.sqrt((n - i) * (i + 1))
-        adj[i, i + 1] = w
-        adj[i + 1, i] = w
+    w = np.sqrt(np.arange(n, 0, -1) * np.arange(1, n + 1.0))
+    lam, vec = np.linalg.eigh(np.diag(w, 1) + np.diag(w, -1))
     tau = math.acos(math.sqrt(p))
-    col = expm(1j * tau * adj)[:, 0]
-    pmf = np.abs(col) ** 2
-    return pmf[::-1].copy()
+    col = vec @ (np.exp(1j * tau * lam) * vec[0])
+    return np.abs(col[::-1]) ** 2
 
 
 # --------------------------------------------------------------------------

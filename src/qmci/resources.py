@@ -104,15 +104,9 @@ class ResourceReport:
     def to_csv(self) -> str:
         """Two-table layout: (A) totals, (B) largest circuit."""
         cols = sorted(set(self.totals) | set(self.largest))
-        lines = ["table,qubits," + ",".join(cols)]
-        lines.append(
-            "total,%d," % self.n_qubits
-            + ",".join(str(self.totals.get(c, "")) for c in cols)
-        )
-        lines.append(
-            "largest,%d," % self.n_qubits
-            + ",".join(str(self.largest.get(c, "")) for c in cols)
-        )
+        lines = ["table,qubits," + ",".join(cols)] + [
+            f"{name},{self.n_qubits}," + ",".join(str(row.get(c, "")) for c in cols)
+            for name, row in (("total", self.totals), ("largest", self.largest))]
         return "\n".join(lines) + "\n"
 
 
@@ -237,8 +231,8 @@ def ft_optimize(
     = target_mse, to a peak where mse(q) = p target_mse / (2 + p), and falls
     after it, where the count only grows: so the two bracket the optimum, and
     the target is infeasible if eps* at the peak is below 1e-18.  A point below that bound ranks by its
-    shortfall before its count.  Returns the ceiling of the continuous
-    optimum q* and eps*(q*).
+    shortfall before its count.  Returns q = ceil(q*) of the continuous
+    optimum q* and the largest eps whose constraint at q meets the target.
     """
     if target_mse <= 0:
         raise ValueError("target_mse must be positive")
@@ -246,10 +240,9 @@ def ft_optimize(
     k, p = _eps_share(plan, tight)
     r3 = plan.quantity_range**3
 
-    def solve(x):
-        """(shortfall, T count, eps*) at q = e^x; the shortfall is the
-        eps_tot over budget at eps = 1e-18."""
-        q = math.exp(x)
+    def solve(q):
+        """(shortfall, T count, eps*) at q; the shortfall is the eps_tot
+        over budget at eps = 1e-18."""
         budget = 3.0 * (target_mse - plan.error.mse(q)) / r3   # eps_tot left
         share = k * q**p
         shortfall = max(0.0, eps_lo * share - budget)
@@ -258,27 +251,35 @@ def ft_optimize(
 
     lo = math.log(plan.error.q_for_mse(target_mse))
     hi = math.log(plan.error.q_for_mse(p * target_mse / (2.0 + p)))
-    if solve(hi)[0] > 0:
+    if solve(math.exp(hi))[0] > 0:
         raise ValueError("MSE target infeasible for any (q, epsilon)")
     # golden-section on log q; hi stays feasible throughout
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
-    f1, f2 = solve(x1)[:2], solve(x2)[:2]
+    f1, f2 = solve(math.exp(x1))[:2], solve(math.exp(x2))[:2]
     for _ in range(200):
         if f2 < f1:
             lo = x1
             x1, f1 = x2, f2
             x2 = lo + phi * (hi - lo)
-            f2 = solve(x2)[:2]
+            f2 = solve(math.exp(x2))[:2]
         else:
             hi = x2
             x2, f2 = x1, f1
             x1 = hi - phi * (hi - lo)
-            f1 = solve(x1)[:2]
+            f1 = solve(math.exp(x1))[:2]
         if hi - lo < 1e-10:
             break
-    return FtSolution(q=max(1, math.ceil(math.exp(hi))), epsilon=solve(hi)[2])
+    q = max(1, math.ceil(math.exp(hi)))
+    eps = solve(q)[2]
+    # eps*(q) as rounded sits a few ulps off the binding constraint at q
+    while eps < eps_hi and ft_constraint(plan, q, math.nextafter(eps, 1.0), target_mse,
+                                         tight) <= target_mse:
+        eps = math.nextafter(eps, 1.0)
+    while eps > eps_lo and ft_constraint(plan, q, eps, target_mse, tight) > target_mse:
+        eps = math.nextafter(eps, 0.0)
+    return FtSolution(q=q, epsilon=eps)
 
 
 def ft_report(plan: QmciPlan, solution: FtSolution) -> ResourceReport:

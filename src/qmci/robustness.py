@@ -10,12 +10,14 @@ benchmark sample sizes used here.
 from __future__ import annotations
 
 import json
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import qae as qae_mod
+
+_NORMAL = statistics.NormalDist()  # BCa's Phi is its cdf, Phi^-1 its inv_cdf
 
 
 @dataclass(frozen=True)
@@ -145,19 +147,16 @@ def _bca(point: float, boot: np.ndarray, jack: np.ndarray,
     below = float(np.sum(boot < point) + 0.5 * np.sum(boot == point))
     frac = min(max(below / n_resamples, 1.0 / (2 * n_resamples)),
                1.0 - 1.0 / (2 * n_resamples))
-    z0 = float(ndtri(frac))
+    z0 = _NORMAL.inv_cdf(frac)
     jm = jack.mean() if jack.size else 0.0
     num = float(np.sum((jm - jack) ** 3))
     den = float(np.sum((jm - jack) ** 2)) ** 1.5
     a = num / (6.0 * den) if den > 0 else 0.0
     alpha = 1.0 - level
-    out = []
-    for z in (ndtri(alpha / 2.0), ndtri(1.0 - alpha / 2.0)):
-        adj = z0 + (z0 + z) / (1.0 - a * (z0 + z))
-        out.append(float(ndtr(adj)))
-    lo = float(np.quantile(boot, out[0]))
-    hi = float(np.quantile(boot, out[1]))
-    return (min(lo, hi), max(lo, hi))
+    z = np.array([_NORMAL.inv_cdf(alpha / 2.0), _NORMAL.inv_cdf(1.0 - alpha / 2.0)])
+    adj = z0 + (z0 + z) / (1.0 - a * (z0 + z))  # a zero denominator gives +-inf
+    lo, hi = np.quantile(boot, [_NORMAL.cdf(v) for v in adj])
+    return (float(min(lo, hi)), float(max(lo, hi)))
 
 
 # --------------------------------------------------------------------------

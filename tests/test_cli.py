@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,19 @@ def write(tmp_path, name, obj):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def test_import_loads_no_scipy():
+    # numpy is the engine's one runtime dependency: a fresh interpreter
+    # importing the CLI, from the tree under test, loads no scipy module
+    import qmci
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qmci.__file__)))
+    code = ("import sys, qmci.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_dist_load_standard(tmp_path):

@@ -231,7 +231,7 @@ def test_walk_binomial_symmetric():
 
 
 def test_walk_binomial_matches_closed_form():
-    for n in range(1, 13):
+    for n in range(1, 41):
         for p10 in range(11):
             p = p10 / 10.0
             ref = np.array([comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)])

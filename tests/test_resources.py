@@ -382,19 +382,24 @@ def test_ft_optimize_evaluation_budget(monkeypatch, tight):
 
 
 def test_ft_optimize_leaves_no_slack():
-    # the reported q is the smallest that meets the target at the reported eps
+    # the reported q is the smallest that meets the target at the reported eps,
+    # and the reported eps the largest that meets it at the reported q
     rng = np.random.default_rng(11)
-    for _ in range(50):
-        plan = tiny_plan(n_toffoli=int(rng.integers(1, 5)), n_rot=int(rng.integers(2, 8)))
-        plan.c_f = float(rng.uniform(1.0, 3.0))
-        plan.c_qae = float(rng.uniform(5.0, 15.0))
-        plan.quantity_range = float(rng.uniform(0.5, 2.0))
-        mse = float(10.0 ** rng.uniform(-6, -3))
+    cases = [(int(rng.integers(1, 5)), int(rng.integers(2, 8)), float(rng.uniform(1.0, 3.0)),
+              float(rng.uniform(5.0, 15.0)), float(rng.uniform(0.5, 2.0)),
+              float(10.0 ** rng.uniform(-6, -3))) for _ in range(50)]
+    # here eps*(q) as rounded misses the target at q = 36 (tight), so eps steps down
+    cases.append((0, 3, 1.1028290677524397, 12.142393899640538, 0.25660451214569113,
+                  0.015436983507139885))
+    for n_toffoli, n_rot, c_f, c_qae, quantity_range, mse in cases:
+        plan = tiny_plan(n_toffoli=n_toffoli, n_rot=n_rot)
+        plan.c_f, plan.c_qae, plan.quantity_range = c_f, c_qae, quantity_range
         for tight in (False, True):
             sol = ft_optimize(plan, mse, tight)
             assert sol.epsilon < 0.5
             assert ft_constraint(plan, sol.q, sol.epsilon, mse, tight) <= mse
             assert ft_constraint(plan, sol.q - 1, sol.epsilon, mse, tight) > mse
+            assert ft_constraint(plan, sol.q, math.nextafter(sol.epsilon, 1.0), mse, tight) > mse
 
 
 @pytest.mark.parametrize("tight", [False, True])
@@ -533,7 +538,7 @@ def test_error_model_is_pinned(tmp_path):
     res = qmci_estimate(dc, spec, 0, "IQAE", q_total=50, seed=1, condition=0)
     assert res.rmse_bound == 2.0364675298172568  # 14.4 / sqrt(50)
     # the FT optimum of the Barrier's one plan at the default target_mse
-    for mode, want in (("ft", (8065, 4.0127799297533797e-13)),
-                       ("ft_tight", (8155, 7.102090443380333e-10))):
+    for mode, want in (("ft", (8065, 4.014828119371212e-13)),
+                       ("ft_tight", (8155, 7.109363984209985e-10))):
         (plan,) = _barrier_report(tmp_path / mode, "MLQAE", mode)["per_plan"]
         assert (plan["solution"]["q"], plan["solution"]["epsilon"]) == want

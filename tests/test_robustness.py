@@ -9,6 +9,7 @@ from qmci.robustness import (
     EstimatorStats,
     amplitude_sweep,
     _bca,
+    _NORMAL,
     bootstrap_ci,
     estimator_stats,
 )
@@ -166,6 +167,19 @@ def test_bca_drops_nan_replicates():
     assert all(math.isfinite(v) for v in with_nan)
     assert all(math.isnan(v) for v in _bca(0.1, np.full(100, nan), jack, 0.68))
     assert all(math.isfinite(v) for v in _bca(0.1, boot, np.full(50, nan), 0.68))
+
+
+def test_bca_normal_matches_scipy():
+    # BCa's Phi and Phi^-1 (the standard library's normal law) against
+    # scipy's ndtr / ndtri, which serve here as a reference only
+    special = pytest.importorskip("scipy.special")
+    x = np.linspace(-8.0, 8.0, 16001)
+    assert np.abs(np.array([_NORMAL.cdf(v) for v in x]) - special.ndtr(x)).max() <= 1e-15
+    tails = np.geomspace(1e-6, 0.5, 2001)
+    p = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 10001), tails, 1.0 - tails])
+    want = special.ndtri(p)
+    got = np.array([_NORMAL.inv_cdf(v) for v in p])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 def test_sweep_deterministic_bytes():

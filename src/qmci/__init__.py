@@ -8,7 +8,7 @@ quantifies NISQ / fault-tolerant resources for full-scale instances.
 
 from .circuit import QuantumCircuit, ResourceBox, controlled_x
 from .gates import Gate, gate
-from .simulator import exact_marginal, marginal_pmf, sample, simulate, zero_state
+from .simulator import exact_marginal, marginal_pmf, simulate, zero_state
 from .rebase import (
     NisqCounts,
     count_nisq,
@@ -80,7 +80,7 @@ from .resources import (
 
 __all__ = [
     "Gate", "gate", "QuantumCircuit", "ResourceBox", "controlled_x",
-    "simulate", "marginal_pmf", "exact_marginal", "sample", "zero_state",
+    "simulate", "marginal_pmf", "exact_marginal", "zero_state",
     "rebase_tk1_cnot", "lower_to_rotations_clifford_t", "count_nisq", "NisqCounts",
     "Dimension", "DistributionCircuit", "DivergenceReport", "standard_circuit",
     "rescale", "exact_pmf_loader", "train_hwe", "walk_binomial_pmf",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .circuit import QuantumCircuit
 from .gates import gate
-from .simulator import apply_gate, exact_marginal, simulate, zero_state
+from .simulator import exact_marginal, simulate
 
 MAX_LOADER_QUBITS = 20  # widest loader a config may ask for: 2^20 entries, 8 MB a vector
 MAX_GRID_VALUE = 1e12  # bound on a config's |x_l|, delta, |mu|, sigma: grid points stay finite
@@ -275,23 +275,73 @@ def _norm_cost(target: np.ndarray, prepared: np.ndarray, norm: str):
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def _flipped(psi: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Ry_q(pi) psi.  Since Ry(theta) = cos(theta/2) I + sin(theta/2) Ry(pi),
-    a rotation's effect is fixed by psi and this one other state."""
-    out = psi.copy()
-    apply_gate(out, gate("Ry", q, np.pi), n)
-    return out
+class _RyCnot:
+    """Index tables for Ry and CNOT-ladder updates on real n-qubit state
+    vectors (the last axis of an array), built once per ``train_hwe`` call.
+
+    Ry(theta) x = c x + s J_q x, with c, s the cos and sin of theta/2 and
+    (J_q x)[i] = -+x[partner[i]]: partner[i] is i with qubit q's bit
+    flipped (qubit 0 is the most significant bit), and the sign is - where
+    that bit is 0.  The CNOT ladder between layers maps basis state x to
+    its prefix XOR, so the state after it is x[ladder] with ladder[y] = y ^
+    (y >> 1).  The tables hold n index vectors, plus the ladder when the
+    circuit has one: never more vectors than the L2 sweep's environments.
+    """
+
+    def __init__(self, n: int, ladder: bool):
+        i = np.arange(1 << n)
+        self.partner = [i ^ (1 << (n - 1 - q)) for q in range(n)]
+        self.split = [(1 << q, 2, 1 << (n - 1 - q)) for q in range(n)]
+        self.sign = np.array([[-1.0], [1.0]])  # by q's bit, on the split axes
+        self.ladder = i ^ (i >> 1) if ladder else None
+
+    def flipped(self, x: np.ndarray, q: int) -> np.ndarray:
+        """J_q x as a new array: Ry(pi) x without its cos(pi/2) x term."""
+        t = x.take(self.partner[q], axis=-1)
+        halves = t.reshape(x.shape[:-1] + self.split[q])
+        np.multiply(halves, self.sign, out=halves)
+        return t
+
+    def ry(self, x: np.ndarray, q: int, theta: float, out: np.ndarray | None = None) -> None:
+        """Ry(theta) on qubit q of ``x``, in place or into ``out``.  Rounds
+        as ``apply_gate`` does: each amplitude is one rounded sum of two
+        rounded products, with cos and sin of theta/2 taken as
+        ``ry_matrix`` takes them.  Only the sign of an exact zero may
+        differ, which no cost or overlap sees."""
+        t = self.flipped(x, q)
+        np.multiply(t, math.sin(theta / 2), out=t)
+        out = x if out is None else out
+        np.multiply(x, math.cos(theta / 2), out=out)
+        out += t
+
+    def cnots(self, x: np.ndarray) -> np.ndarray:
+        return x.take(self.ladder, axis=-1)
 
 
-def _rotation_pair(psi: np.ndarray, q: int, suffix, n: int):
+def _basis_zero(n: int) -> np.ndarray:
+    psi = np.zeros(1 << n)
+    psi[0] = 1.0
+    return psi
+
+
+def _rotation_pair(kern: _RyCnot, angles: np.ndarray, layer: int, q: int, psi: np.ndarray):
     """Real (u, v) such that the circuit prepares cos(theta/2) u +
-    sin(theta/2) v when the state in front of an Ry on qubit ``q`` is
-    ``psi``, the gates after it are ``suffix`` and its angle is theta."""
-    u, v = psi.copy(), _flipped(psi, q, n)
-    for g in suffix:
-        apply_gate(u, g, n)
-        apply_gate(v, g, n)
-    return u.real, v.real
+    sin(theta/2) v when the state in front of the Ry of ``layer`` on qubit
+    ``q`` is ``psi`` and that Ry's angle is theta.  Since Ry(theta) =
+    cos(theta/2) I + sin(theta/2) Ry(pi), u and v are psi and Ry(pi) psi
+    carried through the rest of the circuit, as the two rows of one
+    array."""
+    n_rot, n = angles.shape
+    uv = np.empty((2, psi.size))
+    uv[0] = psi
+    kern.ry(psi, q, np.pi, out=uv[1])
+    for q_ in range(q + 1, n):
+        kern.ry(uv, q_, angles[layer, q_])
+    for layer_ in range(layer + 1, n_rot):
+        uv = kern.cnots(uv)
+        for q_ in range(n):
+            kern.ry(uv, q_, angles[layer_, q_])
+    return uv[0], uv[1]
 
 
 def _rotated_costs(target, u, v, thetas, norm: str) -> np.ndarray:
@@ -300,56 +350,69 @@ def _rotated_costs(target, u, v, thetas, norm: str) -> np.ndarray:
     return _norm_cost(target, np.cos(half) * u + np.sin(half) * v, norm)
 
 
-def _l2_sweep(target: np.ndarray, angles: np.ndarray, n: int) -> np.ndarray:
+def _l2_sweep(target: np.ndarray, angles: np.ndarray, kern: _RyCnot) -> np.ndarray:
     """One sweep of exact sequential angle updates, in place; returns the
     prepared amplitudes after it.
 
     Given the other angles, the overlap with the target is cos(theta/2) f0
     + sin(theta/2) f1, maximised at theta = 2 atan2(f1, f0).  A backward
-    pass of the target through the circuit (Ry(theta)^T = Ry(-theta), CNOT
-    is its own inverse) stores the environment in front of each rotation;
-    the gates after a rotation are not yet updated when its turn comes.
-    One forward pass then carries the state in front of each rotation.
+    pass of the target through the circuit (Ry(theta)^T = Ry(-theta), and
+    the ladder's inverse permutation) stores the environment in front of
+    each rotation; the gates after a rotation are not yet updated when its
+    turn comes.  One forward pass then carries the state in front of each
+    rotation and its image under Ry(pi).
+
+    The environments are the columns of one array (of at least two
+    columns), so each overlap is a dot product with a strided vector.
+    BLAS sums those in another order than dot products of contiguous
+    vectors, and this order gives the angles, bit for bit, of the
+    gate-by-gate simulation on complex states that the tests keep as the
+    reference.
     """
-    gates = hwe_circuit(angles).gates
-    env = []
-    e = target.astype(complex)
-    for g in reversed(gates):
-        if g.kind == "Ry":
-            env.append(e.real.copy())
-        for h in g.inverse_gates():
-            apply_gate(e, h, n)
-    env.reverse()
-    psi = zero_state(n)
-    k = 0
-    for g in gates:
-        if g.kind == "Ry":
-            q = g.qubits[0]
-            f0 = float(env[k] @ psi.real)
-            f1 = float(env[k] @ _flipped(psi, q, n).real)
+    n_rot, n = angles.shape
+    env = np.empty((1 << n, max(angles.size, 2)))
+    e = target.copy()
+    for layer in reversed(range(n_rot)):
+        if layer < n_rot - 1:
+            e[kern.ladder] = e.copy()  # undo the ladder
+        for q in reversed(range(n)):
+            env[:, layer * n + q] = e
+            kern.ry(e, q, -angles[layer, q])
+    psi, flip = _basis_zero(n), np.empty(1 << n)
+    cos_pi = math.cos(math.pi / 2)  # Ry(pi) = cos(pi/2) I + J: sin(pi/2) rounds to 1
+    for layer in range(n_rot):
+        if layer:
+            psi = kern.cnots(psi)
+        for q in range(n):
+            t = kern.flipped(psi, q)
+            np.multiply(psi, cos_pi, out=flip)
+            flip += t  # Ry(pi) psi
+            col = env[:, layer * n + q]
+            f0, f1 = col.dot(psi), col.dot(flip)
             if (f0, f1) != (0.0, 0.0):
-                angles.flat[k] = 2.0 * np.arctan2(f1, f0)
-            g = gate("Ry", q, angles.flat[k])
-            k += 1
-        apply_gate(psi, g, n)
-    return psi.real
+                angles[layer, q] = 2.0 * np.arctan2(f1, f0)
+            theta = angles[layer, q]
+            np.multiply(t, math.sin(theta / 2), out=t)
+            np.multiply(psi, math.cos(theta / 2), out=psi)
+            psi += t
+    return psi
 
 
-def _scan_sweep(target: np.ndarray, angles: np.ndarray, n: int, norm: str):
+def _scan_sweep(target: np.ndarray, angles: np.ndarray, norm: str, kern: _RyCnot):
     """One sweep of coordinate scans of ``norm``, in place: per angle, a
     24-point scan, then a ternary refinement around the best point.
     Returns the prepared amplitudes after the sweep and whether any angle
     moved."""
     scan = np.linspace(0.0, 2.0 * np.pi, 25)[:-1]
-    gates = hwe_circuit(angles).gates
-    psi = zero_state(n)
+    n_rot, n = angles.shape
+    psi = _basis_zero(n)
     improved = False
-    k = 0
-    for i, g in enumerate(gates):
-        if g.kind == "Ry":
-            q = g.qubits[0]
-            u, v = _rotation_pair(psi, q, gates[i + 1:], n)
-            saved = angles.flat[k]
+    for layer in range(n_rot):
+        if layer:
+            psi = kern.cnots(psi)
+        for q in range(n):
+            u, v = _rotation_pair(kern, angles, layer, q, psi)
+            saved = angles[layer, q]
             best, best_c = saved, float(_rotated_costs(target, u, v, [saved], norm)[0])
             for cand, c in zip(scan, _rotated_costs(target, u, v, scan, norm).tolist()):
                 if c < best_c - 1e-15:
@@ -367,12 +430,42 @@ def _scan_sweep(target: np.ndarray, angles: np.ndarray, n: int, norm: str):
                     lo = m1
                     if c2 < best_c:
                         best, best_c = m2, c2
-            angles.flat[k] = best
+            angles[layer, q] = best
             improved |= best != saved
-            g = gate("Ry", q, best)
-            k += 1
-        apply_gate(psi, g, n)
-    return psi.real, improved
+            kern.ry(psi, q, best)
+    return psi, improved
+
+
+def _fit(target, n, n_layers, norm, seed, max_sweeps, tol, history, kern):
+    """One seeded run of ``train_hwe``: (angles, final cost)."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_layers + 1, n))
+
+    def record(cost):
+        if history is not None:
+            history.append(cost)
+
+    # exact coordinate updates on the overlap (equivalently the L2 cost)
+    last = np.inf
+    for _ in range(max_sweeps):
+        prepared = _l2_sweep(target, angles, kern)
+        cost = float(_norm_cost(target, prepared, "L2"))
+        record(cost if norm == "L2" else float(_norm_cost(target, prepared, norm)))
+        if abs(last - cost) < tol:
+            break
+        last = cost
+
+    if norm != "L2":
+        last = float(_norm_cost(target, _prepared_amplitudes(angles), norm))
+        for _ in range(8):
+            prepared, improved = _scan_sweep(target, angles, norm, kern)
+            cost = float(_norm_cost(target, prepared, norm))
+            record(cost)
+            if not improved or abs(last - cost) < tol:
+                break
+            last = cost
+
+    return angles, float(_norm_cost(target, _prepared_amplitudes(angles), norm))
 
 
 def train_hwe(
@@ -392,30 +485,19 @@ def train_hwe(
     a closed-form optimum given the rest); L1 / Linf use the same updates as
     a warm start and then deterministic coordinate scans of the requested
     norm.  Each sweep costs one backward and one forward pass over the
-    circuit (L2), or two passes over the gates after each rotation (scans);
-    no angle update re-simulates the circuit.  Coordinate descent can stall
-    in local optima, so up to ``n_restarts`` seeded initialisations are
-    tried and the best kept.  Deterministic under ``seed``.  Returns the
-    trained circuit and the final cost in the requested norm, simulated
-    from the returned circuit; pass ``history`` to record the cost after
-    every sweep.
+    circuit (L2), or per rotation one pass over the gates after it that
+    carries two states side by side (scans); no angle update re-simulates
+    the circuit.  The passes run on real amplitude vectors through index
+    tables built once per call: an Ry is one gather and four elementwise
+    operations, the CNOT ladder between layers one permutation, and no
+    gate or matrix is built.  They round as ``apply_gate`` does, so every
+    angle and cost is the one a gate-by-gate simulation gives, bit for
+    bit.  Coordinate descent can stall in local optima, so up to
+    ``n_restarts`` seeded initialisations are tried and the best kept.
+    Deterministic under ``seed``.  Returns the trained circuit and the
+    final cost in the requested norm, simulated from the returned circuit;
+    pass ``history`` to record the cost after every sweep.
     """
-    if n_restarts > 1:
-        best = None
-        for r in range(n_restarts):
-            sub = int(np.random.SeedSequence((seed, r)).generate_state(1)[0])
-            hist: list | None = [] if history is not None else None
-            dc, cost = train_hwe(
-                target_pmf, n_layers, norm, sub, max_sweeps, tol, hist, n_restarts=1
-            )
-            if best is None or cost < best[1]:
-                best = (dc, cost, hist)
-            if cost < 1e-6:
-                break
-        if history is not None:
-            history.extend(best[2])
-        return best[0], best[1]
-
     target_pmf = np.asarray(target_pmf, dtype=float)
     n = int(round(math.log2(len(target_pmf))))
     if 2**n != len(target_pmf):
@@ -426,39 +508,27 @@ def train_hwe(
         raise ValueError("n_layers must be >= 0")
     target = np.sqrt(np.clip(target_pmf, 0.0, None))
     target = target / np.linalg.norm(target)
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_layers + 1, n))
-
-    def record(cost):
-        if history is not None:
-            history.append(cost)
-
-    # exact coordinate updates on the overlap (equivalently the L2 cost)
-    last = np.inf
-    for _ in range(max_sweeps):
-        prepared = _l2_sweep(target, angles, n)
-        cost = float(_norm_cost(target, prepared, "L2"))
-        record(cost if norm == "L2" else float(_norm_cost(target, prepared, norm)))
-        if abs(last - cost) < tol:
+    if n_restarts > 1:
+        seeds = [int(np.random.SeedSequence((seed, r)).generate_state(1)[0])
+                 for r in range(n_restarts)]
+    else:
+        seeds = [seed]
+    kern = _RyCnot(n, ladder=n_layers > 0)
+    best = None
+    for sub in seeds:
+        hist: list | None = [] if history is not None else None
+        angles, cost = _fit(target, n, n_layers, norm, sub, max_sweeps, tol, hist, kern)
+        if best is None or cost < best[1]:
+            best = (angles, cost, hist)
+        if cost < 1e-6:
             break
-        last = cost
-
-    if norm != "L2":
-        last = float(_norm_cost(target, _prepared_amplitudes(angles), norm))
-        for _ in range(8):
-            prepared, improved = _scan_sweep(target, angles, n, norm)
-            cost = float(_norm_cost(target, prepared, norm))
-            record(cost)
-            if not improved or abs(last - cost) < tol:
-                break
-            last = cost
-
-    final_cost = float(_norm_cost(target, _prepared_amplitudes(angles), norm))
+    if history is not None:
+        history.extend(best[2])
     dc = DistributionCircuit(
-        hwe_circuit(angles, name="hwe_trained"),
+        hwe_circuit(best[0], name="hwe_trained"),
         [Dimension(tuple(range(n)), 0.0, 1.0)],
     )
-    return dc, final_cost
+    return dc, best[1]
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,6 @@ arXiv:2105.01533), so an instrument on a wide register costs what its
 support costs.
 
 All operations are deterministic; measurement never happens in-simulation.
-Sampling is a separate classical draw from an exactly computed marginal.
 """
 from __future__ import annotations
 
@@ -320,15 +319,3 @@ def _rows_marginal(cols: list, prob: np.ndarray, qubits: list) -> np.ndarray:
             code |= bits.astype(np.int64) << s
         out += np.bincount(code, weights=prob[r0:r1], minlength=out.size)
     return out
-
-
-def sample(state: np.ndarray, qubits, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. outcome draws (integers, MSB-first decode) from the marginal."""
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
-    pmf = marginal_pmf(state, qubits)
-    rng = np.random.default_rng(seed)
-    # guard the tiny negative/rounding drift for rng.choice
-    p = np.clip(pmf, 0.0, None)
-    p = p / p.sum()
-    return rng.choice(len(pmf), size=n, p=p)

@@ -7,9 +7,12 @@ import pytest
 from qmci.circuit import QuantumCircuit
 from qmci.distributions import (
     DistributionCircuit,
+    _l2_sweep,
     _norm_cost,
     _rotated_costs,
     _rotation_pair,
+    _RyCnot,
+    _scan_sweep,
     discretize_pdf,
     divergence_metrics,
     exact_pmf_loader,
@@ -22,7 +25,8 @@ from qmci.distributions import (
     walk_binomial_pmf,
 )
 from qmci.rebase import count_nisq, rebase_tk1_cnot
-from qmci.simulator import simulate
+from qmci.gates import gate
+from qmci.simulator import apply_gate, simulate, zero_state
 
 
 def test_standard_gaussian_metadata_and_first_layer():
@@ -196,12 +200,13 @@ def test_rotation_pair_matches_simulation_over_scan(n, n_layers):
     _, target = _target_amplitudes(n, 0.9)
     scan = np.linspace(0.0, 2.0 * np.pi, 25)[:-1]
     angles = np.random.default_rng(n_layers).uniform(0.0, 2.0 * np.pi, size=(n_layers + 1, n))
+    kern = _RyCnot(n, ladder=True)
     gates = hwe_circuit(angles).gates
     ry = [i for i, g in enumerate(gates) if g.kind == "Ry"]
     for k, i in enumerate(ry):
         q = gates[i].qubits[0]
         psi = simulate(QuantumCircuit(n).extend(gates[:i]))
-        u, v = _rotation_pair(psi, q, gates[i + 1:], n)
+        u, v = _rotation_pair(kern, angles, k // n, q, psi.real)
         trial = angles.copy()
         for theta in scan:
             trial[k // n, q] = theta
@@ -210,6 +215,118 @@ def test_rotation_pair_matches_simulation_over_scan(n, n_layers):
             for norm in ("L1", "Linf"):
                 cost = _rotated_costs(target, u, v, [theta], norm)[0]
                 assert abs(cost - _norm_cost(target, exact, norm)) < 1e-12
+
+
+def _apply_gate_l2_sweep(target, angles, n):
+    """One L2 sweep as the trainer ran it on ``apply_gate`` and complex
+    states: the bit-exact reference for the Ry/CNOT kernel."""
+    gates = hwe_circuit(angles).gates
+    env = []
+    e = target.astype(complex)
+    for g in reversed(gates):
+        if g.kind == "Ry":
+            env.append(e.real.copy())
+        for h in g.inverse_gates():
+            apply_gate(e, h, n)
+    env.reverse()
+    psi = zero_state(n)
+    k = 0
+    for g in gates:
+        if g.kind == "Ry":
+            q = g.qubits[0]
+            flipped = psi.copy()
+            apply_gate(flipped, gate("Ry", q, np.pi), n)
+            f0 = float(env[k] @ psi.real)
+            f1 = float(env[k] @ flipped.real)
+            if (f0, f1) != (0.0, 0.0):
+                angles.flat[k] = 2.0 * np.arctan2(f1, f0)
+            g = gate("Ry", q, angles.flat[k])
+            k += 1
+        apply_gate(psi, g, n)
+    return psi.real
+
+
+def _apply_gate_pair(psi, q, suffix, n):
+    """``_rotation_pair`` as the trainer ran it on ``apply_gate``."""
+    u, v = psi.copy(), psi.copy()
+    apply_gate(v, gate("Ry", q, np.pi), n)
+    for h in suffix:
+        apply_gate(u, h, n)
+        apply_gate(v, h, n)
+    return u.real, v.real
+
+
+def _apply_gate_scan_sweep(target, angles, n, norm):
+    """One L1 or Linf scan sweep as the trainer ran it on ``apply_gate``."""
+    scan = np.linspace(0.0, 2.0 * np.pi, 25)[:-1]
+    gates = hwe_circuit(angles).gates
+    psi = zero_state(n)
+    improved = False
+    k = 0
+    for i, g in enumerate(gates):
+        if g.kind == "Ry":
+            q = g.qubits[0]
+            u, v = _apply_gate_pair(psi, q, gates[i + 1:], n)
+            saved = angles.flat[k]
+            best, best_c = saved, float(_rotated_costs(target, u, v, [saved], norm)[0])
+            for cand, c in zip(scan, _rotated_costs(target, u, v, scan, norm).tolist()):
+                if c < best_c - 1e-15:
+                    best, best_c = cand, c
+            lo, hi = best - 2 * np.pi / 24, best + 2 * np.pi / 24
+            for _ in range(25):
+                m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                c1, c2 = _rotated_costs(target, u, v, [m1, m2], norm).tolist()
+                if c1 < c2:
+                    hi = m2
+                    if c1 < best_c:
+                        best, best_c = m1, c1
+                else:
+                    lo = m1
+                    if c2 < best_c:
+                        best, best_c = m2, c2
+            angles.flat[k] = best
+            improved |= best != saved
+            g = gate("Ry", q, best)
+            k += 1
+        apply_gate(psi, g, n)
+    return psi.real, improved
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+def test_sweeps_match_apply_gate_bit_for_bit(n, n_layers):
+    """The kernel's sweeps give the apply_gate reference's angles and
+    amplitudes byte for byte."""
+    rng = np.random.default_rng([n, n_layers])
+    kern = _RyCnot(n, ladder=n_layers > 0)
+    for trial in range(4):
+        target = rng.random(2**n)
+        if trial == 3:
+            target[rng.random(2**n) < 0.5] = 0.0  # a pmf with holes
+            target[0] = 1.0
+        target /= np.linalg.norm(target)
+        start = rng.uniform(0.0, 2.0 * np.pi, size=(n_layers + 1, n))
+        got, want = start.copy(), start.copy()
+        prepared = _l2_sweep(target, got, kern)
+        ref = _apply_gate_l2_sweep(target, want, n)
+        assert got.tobytes() == want.tobytes()
+        assert prepared.tobytes() == np.ascontiguousarray(ref).tobytes()
+        gates = hwe_circuit(start).gates
+        for k, i in enumerate(i for i, g in enumerate(gates) if g.kind == "Ry"):
+            psi = simulate(QuantumCircuit(n).extend(gates[:i]))
+            u, v = _rotation_pair(kern, start, k // n, k % n, psi.real.copy())
+            u_ref, v_ref = _apply_gate_pair(psi, k % n, gates[i + 1:], n)
+            # + 0.0 turns -0.0 into 0.0: the complex reference may give an
+            # exact zero the other sign, which no cost can see
+            assert (u + 0.0).tobytes() == (u_ref + 0.0).tobytes()
+            assert (v + 0.0).tobytes() == (v_ref + 0.0).tobytes()
+        for norm in ("L1", "Linf"):
+            got, want = start.copy(), start.copy()
+            prepared, improved = _scan_sweep(target, got, norm, kern)
+            ref, ref_improved = _apply_gate_scan_sweep(target, want, n, norm)
+            assert got.tobytes() == want.tobytes()
+            assert prepared.tobytes() == np.ascontiguousarray(ref).tobytes()
+            assert improved == ref_improved
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmci.circuit import QuantumCircuit
-from qmci.simulator import marginal_pmf, sample, simulate, zero_state
+from qmci.simulator import marginal_pmf, simulate, zero_state
 
 
 def test_hadamard_on_zero():
@@ -139,32 +139,6 @@ def test_marginal_validation():
         marginal_pmf(state, [0, 0])
     with pytest.raises(ValueError):
         marginal_pmf(state, [5])
-
-
-def test_sample_deterministic_state():
-    qc = QuantumCircuit(3).append("X", 0).append("X", 2)  # |101> = 5
-    state = simulate(qc)
-    outcomes = sample(state, [0, 1, 2], 50, seed=1)
-    assert np.all(outcomes == 5)
-
-
-def test_sample_same_seed_identical():
-    qc = QuantumCircuit(2).append("H", 0).append("H", 1)
-    state = simulate(qc)
-    a = sample(state, [0, 1], 1000, seed=42)
-    b = sample(state, [0, 1], 1000, seed=42)
-    assert np.array_equal(a, b)
-
-
-def test_sample_uniform_within_binomial_bands():
-    qc = QuantumCircuit(2).append("H", 0).append("H", 1)
-    state = simulate(qc)
-    n = 100_000
-    outcomes = sample(state, [0, 1], n, seed=9)
-    sigma = math.sqrt(0.25 * 0.75 / n)
-    for k in range(4):
-        freq = np.mean(outcomes == k)
-        assert abs(freq - 0.25) <= 3 * sigma
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,25 +6,35 @@ A change that moves output bytes on purpose re-captures the manifest in
 the same commit and logs which files moved:
 
     PYTHONPATH=src python tests/test_byte_corpus.py --capture
+
+To see how far the outputs of another source tree are from this one's,
+replay the corpus under both (each in its own process) and print, for
+every file that moved, the largest numeric |delta| over its JSON leaves or
+CSV cells, or "text differs"; the exit status is non-zero if any moved:
+
+    python tests/test_byte_corpus.py --compare <tree>
 """
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
 
-from qmci.cli import main
-
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "byte_corpus")
 MANIFEST = os.path.join(CORPUS, "manifest.json")
-COMMANDS = {"train": ["dist", "train"]}  # corpus subdirectory -> CLI words
+# corpus subdirectory -> CLI words
+COMMANDS = {"estimate": ["estimate"], "qae-sweep": ["qae-sweep"],
+            "resources": ["resources"], "train": ["dist", "train"]}
 
 
 def environment() -> dict:
@@ -34,6 +44,8 @@ def environment() -> dict:
 def replay(work_dir: str) -> dict:
     """{"<command>/<config>/<output file>": {"sha256", "size"}} of one
     replay of the whole corpus, with outputs written under ``work_dir``."""
+    from qmci.cli import main  # imported here so that --compare picks each tree's
+
     files = {}
     for sub, words in sorted(COMMANDS.items()):
         for name in sorted(os.listdir(os.path.join(CORPUS, sub))):
@@ -68,12 +80,99 @@ def test_corpus_outputs_match_manifest(tmp_path):
         raise AssertionError("\n".join(lines))
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--capture"]:
-        sys.exit(__doc__)
+def _replay_tree(src: str, out: str) -> None:
+    """Replay the corpus with the package under ``src`` in a new process."""
+    code = f"import sys; sys.path.insert(0, {os.path.dirname(CORPUS)!r}); " \
+           f"import test_byte_corpus as t; t.replay({out!r})"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _leaves(raw: bytes, name: str):
+    """The file's values in order: JSON leaves or CSV cells, with numbers as
+    floats; None if it is neither."""
+    text = raw.decode()
+    if name.endswith(".json"):
+        out = []
+
+        def walk(x):
+            if isinstance(x, dict):
+                for k in sorted(x):
+                    out.append(k)
+                    walk(x[k])
+            elif isinstance(x, list):
+                out.append(len(x))
+                for v in x:
+                    walk(v)
+            else:
+                out.append(float(x) if type(x) in (int, float) else x)
+        walk(json.loads(text))
+        return out
+    if name.endswith(".csv"):
+        out = []
+        for row in csv.reader(io.StringIO(text)):
+            out.append(len(row))
+            for cell in row:
+                try:
+                    out.append(float(cell))
+                except ValueError:
+                    out.append(cell)
+        return out
+    return None
+
+
+def difference(a: bytes, b: bytes, name: str) -> str:
+    """The largest numeric |delta| between two versions of an output file,
+    or "text differs" when they differ in anything but numbers."""
+    x, y = _leaves(a, name), _leaves(b, name)
+    if x is None or len(x) != len(y):
+        return "text differs"
+    worst = 0.0
+    for u, v in zip(x, y):
+        if isinstance(u, float) and isinstance(v, float):
+            if u != v:  # inf - inf and nan compare as moved
+                d = abs(u - v)
+                worst = max(worst, d if not math.isnan(d) else math.inf)
+        elif u != v:
+            return "text differs"
+    return f"max |delta| = {worst:.3g}"
+
+
+def compare(tree: str) -> int:
+    """Print every output file that differs between this tree and ``tree``."""
+    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     with tempfile.TemporaryDirectory() as tmp:
-        record = {"environment": environment(), "files": replay(tmp)}
-    with open(MANIFEST, "w") as f:
-        json.dump(record, f, indent=1, sort_keys=True)
-        f.write("\n")
-    print(f"{len(record['files'])} files recorded in {MANIFEST}")
+        outs = [os.path.join(tmp, "this"), os.path.join(tmp, "that")]
+        for src, out in zip((here, os.path.join(os.path.abspath(tree), "src")), outs):
+            _replay_tree(src, out)
+        files = [sorted(os.path.relpath(os.path.join(d, f), out)
+                        for d, _, fs in os.walk(out) for f in fs) for out in outs]
+        moved = 0
+        for rel in sorted(set(files[0]) | set(files[1])):
+            if rel not in files[0] or rel not in files[1]:
+                print(f"{rel}: only under {tree if rel in files[1] else here}")
+                moved += 1
+                continue
+            raw = []
+            for out in outs:
+                with open(os.path.join(out, rel), "rb") as f:
+                    raw.append(f.read())
+            if raw[0] != raw[1]:
+                print(f"{rel}: {difference(raw[0], raw[1], rel)}")
+                moved += 1
+        print(f"{moved} of {len(set(files[0]) | set(files[1]))} files moved")
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--capture"]:
+        with tempfile.TemporaryDirectory() as tmp:
+            record = {"environment": environment(), "files": replay(tmp)}
+        with open(MANIFEST, "w") as f:
+            json.dump(record, f, indent=1, sort_keys=True)
+            f.write("\n")
+        print(f"{len(record['files'])} files recorded in {MANIFEST}")
+    elif len(sys.argv) == 3 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2]))
+    else:
+        sys.exit(__doc__)

@@ -409,9 +409,9 @@ class TermPlan:
     """Everything a QMCI run fixes before it simulates anything.
 
     ``error`` is the run's error model.  ``terms`` holds the estimated
-    (m, trig, coeff) harmonics and ``uses`` the oracle uses of each;
-    BernoulliQubit has the single term (0, "bernoulli", 1.0).  The series
-    sees register value k at x_n = x_l_n + delta_n * k, and the real
+    (m, trig, coeff) harmonics and ``schedules`` the ``qae.Schedule`` of
+    each; BernoulliQubit has the single term (0, "bernoulli", 1.0).  The
+    series sees register value k at x_n = x_l_n + delta_n * k, and the real
     estimate is offset + scale * estimate_n.  Conditional kinds carry the
     normalised x* and the indicator qubit, BernoulliQubit only the qubit.
     """
@@ -419,7 +419,7 @@ class TermPlan:
     q_total: int
     error: ErrorModel
     terms: tuple
-    uses: tuple
+    schedules: tuple
     x_l_n: float = 0.0
     delta_n: float = 1.0
     scale: float = 1.0
@@ -472,6 +472,7 @@ def plan_terms(
     no target is given.  ``qmci_estimate`` runs this plan and resource mode
     counts it.
     """
+    qae_mod.schedule(qae_kind, 1)  # the record's check: ValueError on an unknown kind
     c_qae = qae_mod.C_QAE_REFERENCE[qae_kind]
     if q_total is None and target_rmse is None:
         raise ValueError("give q_total or target_rmse")
@@ -494,8 +495,8 @@ def plan_terms(
     if q_total < 1:
         raise ValueError("budget must be >= 1")
     if bernoulli:
-        return TermPlan(q_total, error, ((0, "bernoulli", 1.0),), (q_total,),
-                        cond_qubit=cond_qubit)
+        return TermPlan(q_total, error, ((0, "bernoulli", 1.0),),
+                        (qae_mod.schedule(qae_kind, q_total),), cond_qubit=cond_qubit)
 
     shift, stretch, scale, offset = _affine(spec.kind, lo, hi)
     series = spec.series
@@ -513,7 +514,7 @@ def plan_terms(
     uses = allocate_uses([c for (_, _, c) in terms], q_total)
     x_star_n = None if cond_qubit is None else (spec.x_star - shift) / stretch
     return TermPlan(
-        q_total, error, tuple(terms), tuple(uses),
+        q_total, error, tuple(terms), tuple(qae_mod.schedule(qae_kind, q) for q in uses),
         (d.x_l - shift) / stretch, d.delta / stretch, scale, offset, x_star_n, cond_qubit,
     )
 
@@ -572,17 +573,17 @@ def qmci_estimate(
     x_norm = plan.x_l_n + plan.delta_n * np.arange(d.n_points)
     estimate_n = series.a0
     per_harmonic = []
-    for (m, trig, coeff), q_m in zip(plan.terms, plan.uses):
+    for (m, trig, coeff), record in zip(plan.terms, plan.schedules):
         beta = 0.0 if trig == "cos" else math.pi / 2.0
         half = 0.5 * (m * series.omega * x_norm - beta)
         a_val = float(np.sum(p_x * np.sin(half) ** 2))
         if conditional:
             a_val += p_rest * math.sin(0.5 * (m * series.omega * plan.x_star_n - beta)) ** 2
         a_val = min(1.0, max(0.0, a_val))
-        res = qae_mod.estimate_amplitude(qae_kind, a_val, q_m,
+        res = qae_mod.estimate_amplitude(qae_kind, a_val, record.q,
                                          _substream_seed(seed, m, trig), lcu_p_max_fail)
         estimate_n += coeff * (1.0 - 2.0 * res.a_hat)
-        per_harmonic.append((m, trig, q_m, res.a_hat))
+        per_harmonic.append((m, trig, record.q, res.a_hat))
 
     estimate = plan.offset + plan.scale * estimate_n
-    return QmciResult(estimate, plan.error.bound(q_total), int(np.sum(plan.uses)), per_harmonic)
+    return QmciResult(estimate, plan.error.bound(q_total), q_total, per_harmonic)

@@ -24,12 +24,11 @@ circuits).
 Each ``*_from_amplitude`` estimator is vectorised over repeats: with
 ``repeats=n`` it returns the estimates of n independent runs drawn in
 order from one generator seeded by ``seed``; without, it runs a batch of
-one and returns its ``QaeResult``.  ``estimate_amplitude`` dispatches on
-the estimator kind.
+one and returns its ``QaeResult``, which carries the ``Schedule`` record
+that ran.  ``estimate_amplitude`` dispatches on the record of ``schedule``.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import threading
 from dataclasses import dataclass
@@ -64,18 +63,20 @@ class QaeProblem:
 class QaeResult:
     a_hat: float
     uses_successful: int
-    lam: int
-    c_qae_reference: float
+    schedule: Schedule  # the record that ran
     uses_expected_total: float | None = None  # LCU only: includes failed preps
-    fallback: bool = False  # budget too small: IQAE ran PAM, LCU ran MLQAE
 
     def __post_init__(self):
         if not 0.0 <= self.a_hat <= 1.0:
             raise ValueError("estimate outside [0, 1]")
 
+    @property
+    def lam(self) -> int:
+        return QAE_LAMBDA[self.schedule.kind]
 
-def _result(kind: str, a_hat: float, uses: int, **kw) -> QaeResult:
-    return QaeResult(a_hat, uses, QAE_LAMBDA[kind], C_QAE_REFERENCE[kind], **kw)
+    @property
+    def fallback(self) -> bool:  # budget too small: IQAE ran PAM, LCU ran MLQAE
+        return self.schedule.fallback
 
 
 # --------------------------------------------------------------------------
@@ -164,6 +165,34 @@ def schedule_uses(schedule: list[tuple[int, int]]) -> int:
     return sum(s * (2 * m + 1) for m, s in schedule)
 
 
+@dataclass(frozen=True)
+class Schedule:
+    """What one QAE run executes: estimator ``kind``, after any fallback, on
+    ``q`` uses of A; ``fallback`` flags a budget too small for the kind asked."""
+
+    kind: str
+    q: int
+    fallback: bool = False
+
+    @property
+    def levels(self) -> list[tuple[int, int]]:
+        """The (m, shots) rounds: one m = 0 round for PAM, the EIS ladder
+        for MLQAE and LCU, none for IQAE, which adapts as it runs."""
+        if self.kind == "PAM":
+            return [(0, self.q)]
+        return [] if self.kind == "IQAE" else eis_schedule(self.q)
+
+
+def schedule(kind: str, q: int) -> Schedule:
+    """The record of a ``kind`` run on ``q`` uses; LCU below one m = 0 round
+    runs MLQAE as a fallback.  IQAE decides its fallback to PAM as it runs."""
+    if kind not in QAE_LAMBDA:
+        raise ValueError(f"unknown QAE kind {kind!r}")
+    if kind == "LCU" and q < SHOTS_M0:
+        return Schedule("MLQAE", q, True)
+    return Schedule(kind, q)
+
+
 def _n_runs(repeats: int | None) -> int:
     return 1 if repeats is None else repeats
 
@@ -180,7 +209,7 @@ def pam_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None =
     a_hat = rng.binomial(q, a, size=_n_runs(repeats)) / q
     if repeats is not None:
         return a_hat
-    return _result("PAM", float(a_hat[0]), q)
+    return QaeResult(float(a_hat[0]), q, Schedule("PAM", q))
 
 
 # --------------------------------------------------------------------------
@@ -268,16 +297,14 @@ def mlqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None
     locally, and a_hat = sin^2(theta_mle).
     """
     theta = math.asin(math.sqrt(a))
-    schedule = eis_schedule(q)
-    levels = np.array([m for m, _ in schedule])
-    shots = np.array([s for _, s in schedule])
+    levels, shots = np.array(Schedule("MLQAE", q).levels).T
     rng = np.random.default_rng(seed)
     probs = np.sin((2 * levels + 1) * theta) ** 2
     hits = rng.binomial(shots, probs, size=(_n_runs(repeats), len(levels)))
     a_hat = np.array([math.sin(t) ** 2 for t in _mlqae_theta(levels, shots, hits)])
     if repeats is not None:
         return a_hat
-    return _result("MLQAE", float(a_hat[0]), q)
+    return QaeResult(float(a_hat[0]), q, Schedule("MLQAE", q))
 
 
 # --------------------------------------------------------------------------
@@ -410,15 +437,15 @@ def iqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None 
     pair = opt_ae(q)
     if pair is None:
         res = pam_from_amplitude(a, q, seed, repeats=repeats)
-        if repeats is not None:
-            return res
-        return dataclasses.replace(res, c_qae_reference=C_QAE_REFERENCE["IQAE"], fallback=True)
+        if repeats is None:
+            res.schedule = Schedule("PAM", q, True)
+        return res
     theta = math.asin(math.sqrt(a))
     rng = np.random.default_rng(seed)
     runs = [_iqae_run(theta, q, *pair, rng) for _ in range(_n_runs(repeats))]
     if repeats is not None:
         return np.array([a_hat for a_hat, _ in runs])
-    return _result("IQAE", *runs[0])
+    return QaeResult(*runs[0], Schedule("IQAE", q))
 
 
 # --------------------------------------------------------------------------
@@ -522,7 +549,7 @@ def _lcu_shot_plan(q: int, p_max_fail: float):
     """
     beta_grid = np.linspace(0.0, math.asin(math.sqrt(p_max_fail)), 11)
     groups: dict[tuple, int] = {}
-    for m, shots in eis_schedule(q):
+    for m, shots in Schedule("LCU", q).levels:
         if m == 0:
             groups[(0, 0, 0.0)] = groups.get((0, 0, 0.0), 0) + shots
             continue
@@ -644,7 +671,7 @@ def lcu_from_amplitude(
         if cat == 0 or pf == 0.0:
             continue
         failures += int(rng.negative_binomial(n, 1.0 - pf))
-    return _result("LCU", float(a_hat[0]), q, uses_expected_total=float(q + failures))
+    return QaeResult(float(a_hat[0]), q, Schedule("LCU", q), float(q + failures))
 
 
 # --------------------------------------------------------------------------
@@ -658,18 +685,14 @@ def estimate_amplitude(
     """Run the ``kind`` estimator on true amplitude ``a`` with ``q`` uses:
     one QaeResult, or with ``repeats`` an array of that many estimates.
 
-    LCU budgets below one m = 0 round run MLQAE instead; a single run's
-    result flags it as a fallback.
+    The estimator that runs is the one ``schedule(kind, q)`` records, and
+    a single run's result carries that record.
     """
-    if kind == "PAM":
-        return pam_from_amplitude(a, q, seed, repeats=repeats)
-    if kind == "IQAE":
-        return iqae_from_amplitude(a, q, seed, repeats=repeats)
-    if kind == "LCU" and q >= SHOTS_M0:
+    record = schedule(kind, q)
+    if record.kind == "LCU":
         return lcu_from_amplitude(a, q, p_max_fail, seed, repeats=repeats)
-    if kind not in ("MLQAE", "LCU"):
-        raise ValueError(f"unknown QAE kind {kind!r}")
-    res = mlqae_from_amplitude(a, q, seed, repeats=repeats)
-    if kind == "LCU" and repeats is None:
-        res = dataclasses.replace(res, fallback=True)
+    res = {"PAM": pam_from_amplitude, "MLQAE": mlqae_from_amplitude,
+           "IQAE": iqae_from_amplitude}[record.kind](a, q, seed, repeats=repeats)
+    if record.fallback and repeats is None:
+        res.schedule = record
     return res

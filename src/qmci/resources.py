@@ -25,7 +25,7 @@ from functools import cached_property
 from .circuit import QuantumCircuit, ResourceBox
 from .distributions import DistributionCircuit, rescale
 from . import fourier as fourier_mod
-from .qae import eis_schedule, grover_operator, QaeProblem
+from .qae import grover_operator, QaeProblem
 from .rebase import FtGateCounts, NisqCounts, lowered_counts, lowered_t_depth, rebased_counts
 
 
@@ -146,7 +146,7 @@ def build_plan(
     return QmciPlan(
         a_circuit=a,
         grover=grover_operator(problem),
-        schedules=[[(0, q)] if qae_kind == "PAM" else eis_schedule(q) for q in run.uses],
+        schedules=[record.levels for record in run.schedules],
         q_total=run.q_total,
         quantity=spec.kind,
         c_f=run.error.c_f,

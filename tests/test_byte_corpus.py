@@ -82,8 +82,8 @@ def test_corpus_outputs_match_manifest(tmp_path):
 
 def _replay_tree(src: str, out: str) -> None:
     """Replay the corpus with the package under ``src`` in a new process."""
-    code = f"import sys; sys.path.insert(0, {os.path.dirname(CORPUS)!r}); " \
-           f"import test_byte_corpus as t; t.replay({out!r})"
+    code = (f"import sys; sys.path.insert(0, {os.path.dirname(CORPUS)!r}); "
+            f"import test_byte_corpus as t; t.replay({out!r})")
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
@@ -130,9 +130,9 @@ def difference(a: bytes, b: bytes, name: str) -> str:
     worst = 0.0
     for u, v in zip(x, y):
         if isinstance(u, float) and isinstance(v, float):
-            if u != v:  # inf - inf and nan compare as moved
-                d = abs(u - v)
-                worst = max(worst, d if not math.isnan(d) else math.inf)
+            if u != v and not (math.isnan(u) and math.isnan(v)):
+                d = abs(u - v)  # nan when only one side is nan
+                worst = max(worst, math.inf if math.isnan(d) else d)
         elif u != v:
             return "text differs"
     return f"max |delta| = {worst:.3g}"

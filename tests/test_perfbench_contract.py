@@ -3,6 +3,7 @@ reads two qae internals and rebuilds instruments to check their outputs;
 a rename in qmci must not silently break it."""
 import importlib
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -27,11 +28,34 @@ def test_traced_functions_exist():
         assert callable(getattr(mod, name, None)), f"qmci.{module}.{name}"
 
 
+def _positional(fn) -> list[str]:
+    return [n for n, p in inspect.signature(fn).parameters.items()
+            if p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD]
+
+
 def test_layer_metrics_inputs_exist():
-    from qmci import qae
+    from qmci import qae, rebase, simulator
 
     assert callable(qae._lcu_shot_plan)
     assert isinstance(qae.DEFAULT_POSTERIOR_GRID, int)
+    # the tracer's per-call facts read these arguments by position, and
+    # layers.py calls _lcu_shot_plan(q, p_max_fail)
+    assert _positional(qae.lcu_from_amplitude) == ["a", "q", "p_max_fail", "seed"]
+    assert _positional(qae._lcu_shot_plan) == ["q", "p_max_fail"]
+    assert _positional(qae.opt_ae)[:1] == ["q"]
+    assert _positional(simulator.simulate)[:1] == ["circuit"]
+    assert _positional(rebase.lower_to_rotations_clifford_t)[:1] == ["circuit"]
+
+
+@pytest.mark.parametrize("kind", ["PAM", "MLQAE", "IQAE", "LCU"])
+def test_dispatch_calls_the_traced_module_attributes(monkeypatch, kind):
+    from qmci import qae
+
+    name, calls = f"{kind.lower()}_from_amplitude", []
+    run = getattr(qae, name)
+    monkeypatch.setattr(qae, name, lambda *a, **kw: calls.append(a) or run(*a, **kw))
+    qae.estimate_amplitude(kind, 0.3, 500, 1)
+    assert len(calls) == 1
 
 
 @pytest.fixture

@@ -12,7 +12,8 @@ from qmci.distributions import (
     gaussian_pdf,
     rescale,
 )
-from qmci.fourier import qmci_estimate, quantity_series
+from qmci import fourier, qae
+from qmci.fourier import plan_terms, qmci_estimate, quantity_series
 from qmci.pbuilder import InstrumentSpec, build_instrument
 from qmci.rebase import count_nisq, rebase_tk1_cnot
 from qmci.resources import (
@@ -261,6 +262,50 @@ def test_plan_counts_the_estimate_it_mirrors(kind, qae_kind, q_total, target_rms
     planned = [sum(s * (2 * m + 1) for m, s in sched) for sched in plan.schedules]
     assert planned == [q for (_, _, q, _) in res.per_harmonic]
     assert plan.q_total == res.uses_total
+
+
+@pytest.mark.parametrize("qae_kind", ["PAM", "MLQAE", "LCU", "IQAE"])
+def test_plan_records_are_the_records_that_ran(monkeypatch, qae_kind):
+    gen = np.random.default_rng(13)
+    mu, sigma = gen.uniform(-0.1, 0.1), gen.uniform(0.1, 0.2)
+    seed = int(gen.integers(2**31 - 1))
+    delta = 1.0 / 15
+    target = discretize_pdf(lambda x: gaussian_pdf(x, mu, sigma), 4, -0.5, delta)
+    dc = rescale(exact_pmf_loader(target), 0, -0.5, delta)
+    spec = quantity_series("Mean", (dc.dims[0].x_l, dc.dims[0].x_u))
+    plan = plan_terms(dc, spec, 0, qae_kind, q_total=3000)
+    ran, dispatch = [], qae.estimate_amplitude
+
+    def recorded(*args, **kw):
+        res = dispatch(*args, **kw)
+        ran.append(res.schedule)
+        return res
+
+    monkeypatch.setattr(fourier.qae_mod, "estimate_amplitude", recorded)
+    res = qmci_estimate(dc, spec, 0, qae_kind, q_total=3000, seed=seed)
+    assert [r.q for r in ran] == [q for (_, _, q, _) in res.per_harmonic]
+    # IQAE's fallback to PAM is decided as it runs, so only the run's record shows it
+    expected = [qae.Schedule("PAM", r.q, True) if r.kind == "IQAE" and qae.opt_ae(r.q) is None
+                else r for r in plan.schedules]
+    assert ran == expected
+    # the plans hold LCU harmonics below one m = 0 round and IQAE ones below 249 uses
+    assert {(r.kind, r.fallback) for r in ran} == {
+        "PAM": {("PAM", False)}, "MLQAE": {("MLQAE", False)},
+        "LCU": {("LCU", False), ("MLQAE", True)}, "IQAE": {("IQAE", False), ("PAM", True)},
+    }[qae_kind]
+    if qae_kind != "IQAE":
+        built = build_plan(dc, spec, 0, qae_kind, q_total=3000)
+        assert built.schedules == [r.levels for r in plan.schedules]
+
+
+def test_unknown_qae_kind_is_a_value_error():
+    delta = 1.0 / 7
+    target = discretize_pdf(lambda x: gaussian_pdf(x, 0, 0.3), 3, -0.5, delta)
+    dc = rescale(exact_pmf_loader(target), 0, -0.5, delta)
+    spec = quantity_series("Mean", (dc.dims[0].x_l, dc.dims[0].x_u))
+    for entry in (qmci_estimate, build_plan):
+        with pytest.raises(ValueError, match="unknown QAE kind"):
+            entry(dc, spec, 0, "mlqae", q_total=1000)
 
 
 def test_plan_rejects_iqae():

@@ -51,7 +51,6 @@ from .fourier import (
 )
 from .qae import (
     QaeProblem,
-    QaeResult,
     benchmark_circuit,
     eis_schedule,
     estimate_amplitude,
@@ -90,7 +89,7 @@ __all__ = [
     "build_brownian", "build_instrument",
     "FourierSeries", "QuantitySpec", "QmciResult", "quantity_series",
     "build_A_circuit", "allocate_uses", "rmse_bound", "qmci_estimate",
-    "QaeProblem", "QaeResult", "benchmark_circuit",
+    "QaeProblem", "benchmark_circuit",
     "grover_operator", "grover_operator_tilde", "eis_schedule",
     "estimate_amplitude", "lcu_prepare", "lcu_likelihood",
     "EstimatorStats", "SweepReport", "estimator_stats", "bootstrap_ci",

@@ -472,7 +472,8 @@ def plan_terms(
     no target is given.  ``qmci_estimate`` runs this plan and resource mode
     counts it.
     """
-    qae_mod.schedule(qae_kind, 1)  # the record's check: ValueError on an unknown kind
+    if qae_kind not in qae_mod.QAE_LAMBDA:
+        raise ValueError(f"unknown QAE kind {qae_kind!r}")
     c_qae = qae_mod.C_QAE_REFERENCE[qae_kind]
     if q_total is None and target_rmse is None:
         raise ValueError("give q_total or target_rmse")
@@ -552,10 +553,11 @@ def qmci_estimate(
     q_total = plan.q_total
     if spec.kind == "BernoulliQubit":
         a_val = float(exact_marginal(dc.circuit, [plan.cond_qubit])[1])
-        res = qae_mod.estimate_amplitude(qae_kind, a_val, q_total,
-                                         _substream_seed(seed, 0, "cos"), lcu_p_max_fail)
-        bound = plan.error.bound(q_total, res.lam)
-        return QmciResult(res.a_hat, bound, q_total, [(0, "bernoulli", q_total, res.a_hat)])
+        record, = plan.schedules
+        a_hat = float(qae_mod.estimate_amplitude(record, a_val, _substream_seed(seed, 0, "cos"),
+                                                 lcu_p_max_fail)[0])
+        bound = plan.error.bound(q_total, qae_mod.QAE_LAMBDA[record.kind])
+        return QmciResult(a_hat, bound, q_total, [(0, "bernoulli", q_total, a_hat)])
 
     d = dc.dims[dim]
     conditional = plan.x_star_n is not None
@@ -580,10 +582,10 @@ def qmci_estimate(
         if conditional:
             a_val += p_rest * math.sin(0.5 * (m * series.omega * plan.x_star_n - beta)) ** 2
         a_val = min(1.0, max(0.0, a_val))
-        res = qae_mod.estimate_amplitude(qae_kind, a_val, record.q,
-                                         _substream_seed(seed, m, trig), lcu_p_max_fail)
-        estimate_n += coeff * (1.0 - 2.0 * res.a_hat)
-        per_harmonic.append((m, trig, record.q, res.a_hat))
+        a_hat = float(qae_mod.estimate_amplitude(record, a_val, _substream_seed(seed, m, trig),
+                                                 lcu_p_max_fail)[0])
+        estimate_n += coeff * (1.0 - 2.0 * a_hat)
+        per_harmonic.append((m, trig, record.q, a_hat))
 
     estimate = plan.offset + plan.scale * estimate_n
     return QmciResult(estimate, plan.error.bound(q_total), q_total, per_harmonic)

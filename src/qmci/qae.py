@@ -21,11 +21,11 @@ and draws outcomes from the closed-form likelihoods (the test suite
 verifies those likelihoods against direct simulation of the composed
 circuits).
 
-Each ``*_from_amplitude`` estimator is vectorised over repeats: with
-``repeats=n`` it returns the estimates of n independent runs drawn in
-order from one generator seeded by ``seed``; without, it runs a batch of
-one and returns its ``QaeResult``, which carries the ``Schedule`` record
-that ran.  ``estimate_amplitude`` dispatches on the record of ``schedule``.
+Each ``*_from_amplitude`` estimator is vectorised over repeats: it
+returns an array of the estimates of ``repeats`` independent runs (one by
+default), drawn in order from one generator seeded by ``seed``.
+``schedule`` alone decides which estimator a kind and budget run, falling
+back where the budget is too small; ``estimate_amplitude`` runs its record.
 """
 from __future__ import annotations
 
@@ -57,26 +57,6 @@ class QaeProblem:
     def __post_init__(self):
         if not 0 <= self.good_qubit < self.a_circuit.n_qubits:
             raise ValueError("good_qubit out of range")
-
-
-@dataclass
-class QaeResult:
-    a_hat: float
-    uses_successful: int
-    schedule: Schedule  # the record that ran
-    uses_expected_total: float | None = None  # LCU only: includes failed preps
-
-    def __post_init__(self):
-        if not 0.0 <= self.a_hat <= 1.0:
-            raise ValueError("estimate outside [0, 1]")
-
-    @property
-    def lam(self) -> int:
-        return QAE_LAMBDA[self.schedule.kind]
-
-    @property
-    def fallback(self) -> bool:  # budget too small: IQAE ran PAM, LCU ran MLQAE
-        return self.schedule.fallback
 
 
 # --------------------------------------------------------------------------
@@ -184,32 +164,28 @@ class Schedule:
 
 
 def schedule(kind: str, q: int) -> Schedule:
-    """The record of a ``kind`` run on ``q`` uses; LCU below one m = 0 round
-    runs MLQAE as a fallback.  IQAE decides its fallback to PAM as it runs."""
+    """The record of a ``kind`` run on ``q`` uses, and the one place that
+    decides a fallback: IQAE on a budget that ``opt_ae`` finds infeasible
+    runs PAM, and LCU below one m = 0 round runs MLQAE."""
     if kind not in QAE_LAMBDA:
         raise ValueError(f"unknown QAE kind {kind!r}")
+    if kind == "IQAE" and opt_ae(q) is None:
+        return Schedule("PAM", q, True)
     if kind == "LCU" and q < SHOTS_M0:
         return Schedule("MLQAE", q, True)
     return Schedule(kind, q)
-
-
-def _n_runs(repeats: int | None) -> int:
-    return 1 if repeats is None else repeats
 
 
 # --------------------------------------------------------------------------
 # PAM
 
 
-def pam_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None = None):
+def pam_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int = 1) -> np.ndarray:
     """Prepare-and-measure: a_hat is the fraction of ones over q shots."""
     if q < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
-    a_hat = rng.binomial(q, a, size=_n_runs(repeats)) / q
-    if repeats is not None:
-        return a_hat
-    return QaeResult(float(a_hat[0]), q, Schedule("PAM", q))
+    return rng.binomial(q, a, size=repeats) / q
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +266,7 @@ def _mlqae_theta(levels, shots, hits) -> np.ndarray:
     return local[runs, np.argmax(ll, axis=1)]
 
 
-def mlqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None = None):
+def mlqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int = 1) -> np.ndarray:
     """Maximum-likelihood QAE over the EIS schedule.
 
     The likelihood over theta is maximised on a coarse grid and refined
@@ -300,11 +276,8 @@ def mlqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None
     levels, shots = np.array(Schedule("MLQAE", q).levels).T
     rng = np.random.default_rng(seed)
     probs = np.sin((2 * levels + 1) * theta) ** 2
-    hits = rng.binomial(shots, probs, size=(_n_runs(repeats), len(levels)))
-    a_hat = np.array([math.sin(t) ** 2 for t in _mlqae_theta(levels, shots, hits)])
-    if repeats is not None:
-        return a_hat
-    return QaeResult(float(a_hat[0]), q, Schedule("MLQAE", q))
+    hits = rng.binomial(shots, probs, size=(repeats, len(levels)))
+    return np.array([math.sin(t) ** 2 for t in _mlqae_theta(levels, shots, hits)])
 
 
 # --------------------------------------------------------------------------
@@ -425,27 +398,22 @@ def _iqae_run(theta: float, q: int, eps_theta: float, alpha: float, rng) -> tupl
     return min(1.0, max(0.0, 0.5 * (a_lo + a_hi))), q - rem
 
 
-def iqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int | None = None):
+def iqae_from_amplitude(a: float, q: int, seed: int = 0, *, repeats: int = 1) -> np.ndarray:
     """Iterative QAE wrapped to take a use budget.
 
     opt_ae picks the (epsilon, alpha) whose worst-case query count matches
     the budget; the interval iterations then continue past the nominal
     stopping point until (almost) all uses are exhausted; the estimate is
-    the midpoint of the final amplitude interval.  Falls back to PAM when
-    the budget admits no feasible (epsilon, alpha).
+    the midpoint of the final amplitude interval.  A budget that admits no
+    feasible (epsilon, alpha) is a ``ValueError``: ``schedule`` runs PAM
+    on it instead.
     """
     pair = opt_ae(q)
     if pair is None:
-        res = pam_from_amplitude(a, q, seed, repeats=repeats)
-        if repeats is None:
-            res.schedule = Schedule("PAM", q, True)
-        return res
+        raise ValueError(f"budget {q} admits no feasible IQAE (epsilon, alpha)")
     theta = math.asin(math.sqrt(a))
     rng = np.random.default_rng(seed)
-    runs = [_iqae_run(theta, q, *pair, rng) for _ in range(_n_runs(repeats))]
-    if repeats is not None:
-        return np.array([a_hat for a_hat, _ in runs])
-    return QaeResult(*runs[0], Schedule("IQAE", q))
+    return np.array([_iqae_run(theta, q, *pair, rng)[0] for _ in range(repeats)])
 
 
 # --------------------------------------------------------------------------
@@ -632,46 +600,38 @@ def _lcu_log_tables(groups, p_max_fail: float) -> np.ndarray:
 
 
 def lcu_from_amplitude(
-    a: float, q: int, p_max_fail: float = 0.5, seed: int = 0, *, repeats: int | None = None
-):
+    a: float, q: int, p_max_fail: float = 0.5, seed: int = 0, *, repeats: int = 1
+) -> np.ndarray:
     """LCU QAE: EIS schedule with per-shot category/beta variation, MMSE
     estimate from a grid posterior over theta.
 
-    The budget counts uses inside successfully post-selected circuits;
-    preparation failures are Bernoulli(sin^2 beta) draws costing one A use
-    each (fail-fast), reported via ``uses_expected_total``.
+    The budget counts uses inside successfully post-selected circuits.  A
+    preparation fails with probability sin^2 beta and costs one more use of
+    A (fail-fast); those uses are not drawn, since the estimate does not
+    depend on them.  A budget below one m = 0 round is a ``ValueError``:
+    ``schedule`` runs MLQAE on it instead.
     """
     if q < SHOTS_M0:
         raise ValueError(f"budget {q} below one m=0 round ({SHOTS_M0} shots)")
     if not 0.0 < p_max_fail < 1.0:
         raise ValueError("p_max_fail must lie in (0, 1)")
-    n_runs = _n_runs(repeats)
     groups = _lcu_shot_plan(q, p_max_fail)
     counts = np.array([n for _, n in groups])
     probs = _lcu_group_probs(groups, np.array([math.asin(math.sqrt(a))]))[:, 0]
     rng = np.random.default_rng(seed)
-    hits = rng.binomial(counts, probs, size=(n_runs, len(groups)))
+    hits = rng.binomial(counts, probs, size=(repeats, len(groups)))
     log1, log0 = _lcu_log_tables(groups, p_max_fail)
     sin2 = np.sin(_POSTERIOR_GRID) ** 2
-    a_hat = np.empty(n_runs)
+    a_hat = np.empty(repeats)
     chunk = max(1, int(2e8 // (_POSTERIOR_GRID.size * 8)))
-    for start in range(0, n_runs, chunk):
+    for start in range(0, repeats, chunk):
         h = hits[start:start + chunk]
         w = h.astype(np.float64) @ log1  # the log-likelihood, then the weights
         w += (counts - h).astype(np.float64) @ log0
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)
         a_hat[start:start + chunk] = (w @ sin2) / w.sum(axis=1)
-    np.clip(a_hat, 0.0, 1.0, out=a_hat)
-    if repeats is not None:
-        return a_hat
-    failures = 0
-    for (_, cat, beta), n in groups:
-        pf = math.sin(beta) ** 2
-        if cat == 0 or pf == 0.0:
-            continue
-        failures += int(rng.negative_binomial(n, 1.0 - pf))
-    return QaeResult(float(a_hat[0]), q, Schedule("LCU", q), float(q + failures))
+    return np.clip(a_hat, 0.0, 1.0, out=a_hat)
 
 
 # --------------------------------------------------------------------------
@@ -679,20 +639,16 @@ def lcu_from_amplitude(
 
 
 def estimate_amplitude(
-    kind: str, a: float, q: int, seed: int = 0, p_max_fail: float = 0.5, *,
-    repeats: int | None = None,
-):
-    """Run the ``kind`` estimator on true amplitude ``a`` with ``q`` uses:
-    one QaeResult, or with ``repeats`` an array of that many estimates.
-
-    The estimator that runs is the one ``schedule(kind, q)`` records, and
-    a single run's result carries that record.
-    """
-    record = schedule(kind, q)
+    record: Schedule, a: float, seed: int = 0, p_max_fail: float = 0.5, *, repeats: int = 1
+) -> np.ndarray:
+    """The estimates of ``repeats`` runs of the estimator that ``record``, a
+    ``schedule`` record, names, on true amplitude ``a`` with ``record.q``
+    uses; ``p_max_fail`` is LCU's preparation-failure cap."""
     if record.kind == "LCU":
-        return lcu_from_amplitude(a, q, p_max_fail, seed, repeats=repeats)
-    res = {"PAM": pam_from_amplitude, "MLQAE": mlqae_from_amplitude,
-           "IQAE": iqae_from_amplitude}[record.kind](a, q, seed, repeats=repeats)
-    if record.fallback and repeats is None:
-        res.schedule = record
-    return res
+        a_hat = lcu_from_amplitude(a, record.q, p_max_fail, seed, repeats=repeats)
+    else:
+        a_hat = {"PAM": pam_from_amplitude, "MLQAE": mlqae_from_amplitude,
+                 "IQAE": iqae_from_amplitude}[record.kind](a, record.q, seed, repeats=repeats)
+    if not ((a_hat >= 0.0) & (a_hat <= 1.0)).all():
+        raise ValueError("estimate outside [0, 1]")
+    return a_hat

@@ -262,12 +262,13 @@ def amplitude_sweep(
         raise ValueError("amplitudes and q_list entries must be distinct")
     if any(not 0.0 < a < 1.0 for a in amplitude_grid):
         raise ValueError("amplitudes must lie in (0, 1)")
+    records = [qae_mod.schedule(qae_kind, q) for q in q_list]
     report = SweepReport(qae_kind, amplitude_grid, q_list, repeats, seed)
     for ai, a in enumerate(amplitude_grid):
         rmses = []
-        for qi, q in enumerate(q_list):
+        for qi, (q, record) in enumerate(zip(q_list, records)):
             sub = int(np.random.SeedSequence((seed, ai, qi)).generate_state(1)[0])
-            est = qae_mod.estimate_amplitude(qae_kind, a, q, sub, p_max_fail, repeats=repeats)
+            est = qae_mod.estimate_amplitude(record, a, sub, p_max_fail, repeats=repeats)
             st = estimator_stats(est, a)
             cell = {
                 "bias": st.bias,

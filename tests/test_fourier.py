@@ -279,7 +279,7 @@ def test_conditional_with_constant_false_indicator_returns_x_star(monkeypatch):
     # infinite-budget limit: QAE returns the exact amplitude
     monkeypatch.setattr(
         fourier.qae_mod, "estimate_amplitude",
-        lambda kind, a, q, seed, *args, **kw: type("R", (), {"a_hat": a, "lam": 2})(),
+        lambda record, a, *args, **kw: np.array([a]),
     )
     res = qmci_estimate(dcc, spec, 0, "MLQAE", q_total=10_000, seed=0, condition=0)
     assert abs(res.estimate - 0.2) < 1e-6  # series truncation only

@@ -54,7 +54,7 @@ def test_dispatch_calls_the_traced_module_attributes(monkeypatch, kind):
     name, calls = f"{kind.lower()}_from_amplitude", []
     run = getattr(qae, name)
     monkeypatch.setattr(qae, name, lambda *a, **kw: calls.append(a) or run(*a, **kw))
-    qae.estimate_amplitude(kind, 0.3, 500, 1)
+    qae.estimate_amplitude(qae.schedule(kind, 500), 0.3, 1)
     assert len(calls) == 1
 
 

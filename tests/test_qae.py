@@ -10,7 +10,7 @@ from qmci import qae
 from qmci.circuit import QuantumCircuit
 from qmci.qae import (
     QaeProblem,
-    QaeResult,
+    Schedule,
     benchmark_circuit,
     eis_schedule,
     estimate_amplitude,
@@ -26,6 +26,7 @@ from qmci.qae import (
     mlqae_from_amplitude,
     opt_ae,
     pam_from_amplitude,
+    schedule,
     schedule_uses,
 )
 from qmci.simulator import marginal_pmf, simulate
@@ -112,13 +113,13 @@ def test_shot_cost_is_2m_plus_1():
 
 def test_pam_zero_amplitude():
     a = QuantumCircuit(1)  # identity: P(1) = 0
-    res = pam_from_amplitude(exact_amplitude(QaeProblem(a, 0)), 50, seed=1)
-    assert res.a_hat == 0.0 and res.lam == 1
+    est = pam_from_amplitude(exact_amplitude(QaeProblem(a, 0)), 50, seed=1)
+    assert est.tolist() == [0.0] and qae.QAE_LAMBDA[schedule("PAM", 50).kind] == 1
 
 
 def test_pam_binomial_spread():
     prob = benchmark_circuit(math.pi / 4)  # a = 0.5
-    est = [pam_from_amplitude(exact_amplitude(prob), 100, seed=s).a_hat for s in range(300)]
+    est = [pam_from_amplitude(exact_amplitude(prob), 100, seed=s)[0] for s in range(300)]
     rmse = float(np.sqrt(np.mean((np.array(est) - 0.5) ** 2)))
     assert abs(rmse - 0.05) < 0.01
 
@@ -126,7 +127,7 @@ def test_pam_binomial_spread():
 def test_pam_rmse_bound():
     a = 0.25
     a_exact = exact_amplitude(benchmark_circuit(math.asin(math.sqrt(a))))
-    est = [pam_from_amplitude(a_exact, 10_000, seed=s).a_hat for s in range(500)]
+    est = [pam_from_amplitude(a_exact, 10_000, seed=s)[0] for s in range(500)]
     rmse = float(np.sqrt(np.mean((np.array(est) - a) ** 2)))
     assert rmse <= 0.5 / math.sqrt(10_000) * 1.1
 
@@ -136,17 +137,17 @@ def test_pam_rmse_bound():
 
 def test_mlqae_single_use():
     prob = benchmark_circuit(0.6)
-    res = mlqae_from_amplitude(exact_amplitude(prob), 1, seed=0)
-    assert res.a_hat in (0.0, 1.0)
-    assert res.uses_successful == 1
+    est = mlqae_from_amplitude(exact_amplitude(prob), 1, seed=0)
+    assert est.tolist() in ([0.0], [1.0])
+    assert schedule_uses(schedule("MLQAE", 1).levels) == 1
 
 
 def test_mlqae_convergence_and_budget():
     a = 0.3
     prob = benchmark_circuit(math.asin(math.sqrt(a)))
-    res = mlqae_from_amplitude(exact_amplitude(prob), 2000, seed=5)
-    assert res.uses_successful == 2000
-    assert abs(res.a_hat - a) < 0.05
+    est = mlqae_from_amplitude(exact_amplitude(prob), 2000, seed=5)
+    assert schedule_uses(schedule("MLQAE", 2000).levels) == 2000
+    assert abs(est[0] - a) < 0.05
     est = mlqae_from_amplitude(a, 2000, seed=8, repeats=300)
     rmse = float(np.sqrt(np.mean((est - a) ** 2)))
     assert rmse * 2000 < 8.02 * 1.25
@@ -155,8 +156,8 @@ def test_mlqae_convergence_and_budget():
 def test_mlqae_estimate_in_unit_interval():
     for theta in (0.01, 1.55):
         prob = benchmark_circuit(theta)
-        res = mlqae_from_amplitude(exact_amplitude(prob), 300, seed=2)
-        assert 0.0 <= res.a_hat <= 1.0
+        est = mlqae_from_amplitude(exact_amplitude(prob), 300, seed=2)
+        assert 0.0 <= est[0] <= 1.0
 
 
 def test_posterior_contracts_with_budget():
@@ -286,21 +287,31 @@ def test_opt_ae_equals_scalar_loop():
     for q, (got, want) in zip(budgets, results):
         assert got == want, q
         assert [type(x) for x in got or ()] == [type(x) for x in want or ()], q
+        # the IQAE record falls back to PAM exactly where opt_ae finds no pair
+        fallback = Schedule("PAM", q, True) if got is None else Schedule("IQAE", q)
+        assert schedule("IQAE", q) == fallback, q
     assert results[0][1] is None and results[-1][1] is not None
+    assert results[247][0] is None and results[248][0] is not None  # budgets 248 and 249
 
 
 def test_iqae_uses_budget_and_converges():
     a = 0.3
     prob = benchmark_circuit(math.asin(math.sqrt(a)))
-    res = iqae_from_amplitude(exact_amplitude(prob), 3000, seed=4)
-    assert 0.9 * 3000 <= res.uses_successful <= 3000
-    assert abs(res.a_hat - a) < 0.05
+    a_exact = exact_amplitude(prob)
+    a_hat, uses = qae._iqae_run(math.asin(math.sqrt(a_exact)), 3000, *opt_ae(3000),
+                                np.random.default_rng(4))
+    assert 0.9 * 3000 <= uses <= 3000
+    assert iqae_from_amplitude(a_exact, 3000, seed=4).tolist() == [a_hat]
+    assert abs(a_hat - a) < 0.05
 
 
 def test_iqae_infeasible_budget_falls_back():
-    prob = benchmark_circuit(0.5)
-    res = iqae_from_amplitude(exact_amplitude(prob), 5, seed=0)
-    assert res.fallback
+    a = exact_amplitude(benchmark_circuit(0.5))
+    record = schedule("IQAE", 5)
+    assert record == Schedule("PAM", 5, True)
+    assert estimate_amplitude(record, a, 0).tobytes() == pam_from_amplitude(a, 5, 0).tobytes()
+    with pytest.raises(ValueError, match="no feasible"):
+        iqae_from_amplitude(a, 5, seed=0)
 
 
 # ---------------------------------------------------------------- LCU
@@ -389,15 +400,15 @@ def test_lcu_sampled_betas_respect_fail_cap():
 
 def test_lcu_degenerate_amplitude():
     a = QuantumCircuit(2).append("CNOT", (0, 1))  # a = 0 exactly
-    res = lcu_from_amplitude(exact_amplitude(QaeProblem(a, 1)), 200, 0.5, seed=3)
-    assert res.a_hat < 0.01  # prior-limited, near zero
+    est = lcu_from_amplitude(exact_amplitude(QaeProblem(a, 1)), 200, 0.5, seed=3)
+    assert est[0] < 0.01  # prior-limited, near zero
 
 
 def test_lcu_use_accounting():
-    prob = benchmark_circuit(0.7)
-    res = lcu_from_amplitude(exact_amplitude(prob), 500, 0.5, seed=1)
-    assert res.uses_successful == 500
-    assert res.uses_expected_total >= 500
+    from qmci.qae import _lcu_shot_plan
+
+    # the successful shots spend the budget exactly
+    assert sum(n * (2 * m + 1) for (m, _, _), n in _lcu_shot_plan(500, 0.5)) == 500
 
 
 def test_lcu_convergence():
@@ -425,36 +436,26 @@ def _lcu_posterior_matrices(groups, grid):
     return np.log(p + eps), np.log(1.0 - p + eps)
 
 
-def _lcu_per_call(a, q, p_max_fail, seed, repeats=None):
+def _lcu_per_call(a, q, p_max_fail, seed, repeats=1):
     """lcu_from_amplitude with per-call tables and its former posterior
-    arithmetic: (a_hat, uses_expected_total), or the array of a_hat."""
-    n_runs = 1 if repeats is None else repeats
+    arithmetic: the array of a_hat."""
     groups = qae._lcu_shot_plan(q, p_max_fail)
     counts = np.array([n for _, n in groups])
     probs = qae._lcu_group_probs(groups, np.array([math.asin(math.sqrt(a))]))[:, 0]
     rng = np.random.default_rng(seed)
-    hits = rng.binomial(counts, probs, size=(n_runs, len(groups)))
+    hits = rng.binomial(counts, probs, size=(repeats, len(groups)))
     grid = np.linspace(0.0, math.pi / 2.0, qae.DEFAULT_POSTERIOR_GRID)
     log1, log0 = _lcu_posterior_matrices(groups, grid)
     sin2 = np.sin(grid) ** 2
-    a_hat = np.empty(n_runs)
+    a_hat = np.empty(repeats)
     chunk = max(1, int(2e8 // (grid.size * 8)))
-    for start in range(0, n_runs, chunk):
+    for start in range(0, repeats, chunk):
         h = hits[start:start + chunk]
         ll = h.astype(np.float64) @ log1 + (counts - h).astype(np.float64) @ log0
         ll -= ll.max(axis=1, keepdims=True)
         w = np.exp(ll)
         a_hat[start:start + chunk] = (w @ sin2) / w.sum(axis=1)
-    np.clip(a_hat, 0.0, 1.0, out=a_hat)
-    if repeats is not None:
-        return a_hat
-    failures = 0
-    for (_, cat, beta), n in groups:
-        pf = math.sin(beta) ** 2
-        if cat == 0 or pf == 0.0:
-            continue
-        failures += int(rng.negative_binomial(n, 1.0 - pf))
-    return a_hat[0], float(q + failures)
+    return np.clip(a_hat, 0.0, 1.0, out=a_hat)
 
 
 def _cached_levels(q):
@@ -474,10 +475,8 @@ def test_lcu_cached_tables_equal_per_call_tables(monkeypatch):
     runs += [(q, (0.5, 0.2)[i % 3 > 0]) for i, q in enumerate(mixed)]
     for i, (q, p_max_fail) in enumerate(runs):
         a = (0.15, 0.5, 0.85, 0.999)[i % 4]
-        res = lcu_from_amplitude(a, q, p_max_fail, seed=i)
-        want, want_uses = _lcu_per_call(a, q, p_max_fail, i)
-        assert np.float64(res.a_hat).tobytes() == want.tobytes(), (q, p_max_fail)
-        assert res.uses_expected_total == want_uses, (q, p_max_fail)
+        got = lcu_from_amplitude(a, q, p_max_fail, seed=i)
+        assert got.tobytes() == _lcu_per_call(a, q, p_max_fail, i).tobytes(), (q, p_max_fail)
         got = lcu_from_amplitude(a, q, p_max_fail, seed=i + 100, repeats=40)
         assert got.tobytes() == _lcu_per_call(a, q, p_max_fail, i + 100, 40).tobytes(), (q, p_max_fail)
     # the cache holds one p_max_fail, the last, and only the rows of the
@@ -500,7 +499,8 @@ def test_lcu_cache_fills_only_the_levels_run(monkeypatch):
     lcu_from_amplitude(0.3, 300, 0.5, seed=1)
     assert qae._LCU_TABLE_CACHE[0.5][1] == 1 + 44 * 3
     qae._LCU_TABLE_CACHE.clear()
-    assert lcu_from_amplitude(0.3, 4000, 0.5, seed=1) == lcu_from_amplitude(0.3, 4000, 0.5, seed=1)
+    assert np.array_equal(lcu_from_amplitude(0.3, 4000, 0.5, seed=1),
+                          lcu_from_amplitude(0.3, 4000, 0.5, seed=1))
     assert qae._LCU_TABLE_CACHE[0.5][1] == 1 + 44 * 5
 
 
@@ -555,59 +555,67 @@ def test_lcu_angle_variety_span():
 def test_estimates_always_in_unit_interval():
     for theta in (0.02, 0.7, 1.55):
         a = exact_amplitude(benchmark_circuit(theta))
-        for res in (pam_from_amplitude(a, 64, 1), mlqae_from_amplitude(a, 300, 1),
+        for est in (pam_from_amplitude(a, 64, 1), mlqae_from_amplitude(a, 300, 1),
                     lcu_from_amplitude(a, 200, 0.5, 1)):
-            assert 0.0 <= res.a_hat <= 1.0
+            assert 0.0 <= est[0] <= 1.0
 
 
-def test_qae_result_validation():
-    with pytest.raises(ValueError):
-        QaeResult(1.2, 10, 2, 8.02)
+@pytest.mark.parametrize("repeats", [1, 4])
+def test_estimate_amplitude_rejects_rows_outside_unit_interval(monkeypatch, repeats):
+    def off_by_one_row(a, q, seed=0, *, repeats=1):
+        est = np.full(repeats, a)
+        est[-1] = 1.2
+        return est
+
+    monkeypatch.setattr(qae, "mlqae_from_amplitude", off_by_one_row)
+    with pytest.raises(ValueError, match="outside"):
+        estimate_amplitude(schedule("MLQAE", 100), 0.3, repeats=repeats)
 
 
 def test_estimate_amplitude_validation():
     with pytest.raises(ValueError):
-        estimate_amplitude("XXX", 0.3, 1000)
+        estimate_amplitude(schedule("XXX", 1000), 0.3)
     with pytest.raises(ValueError):
-        estimate_amplitude("MLQAE", 0.3, 0)
+        estimate_amplitude(schedule("MLQAE", 0), 0.3)
     with pytest.raises(ValueError):
-        estimate_amplitude("LCU", 0.3, 1000, p_max_fail=1.5)
+        estimate_amplitude(schedule("LCU", 1000), 0.3, p_max_fail=1.5)
 
 
 @pytest.mark.parametrize("kind", ["PAM", "MLQAE", "IQAE", "LCU"])
 def test_scalar_call_equals_batch_of_one(kind):
     a, q = 0.37, 700
     call = {
-        "PAM": lambda s, r=None: pam_from_amplitude(a, q, s, repeats=r),
-        "MLQAE": lambda s, r=None: mlqae_from_amplitude(a, q, s, repeats=r),
-        "IQAE": lambda s, r=None: iqae_from_amplitude(a, q, s, repeats=r),
-        "LCU": lambda s, r=None: lcu_from_amplitude(a, q, 0.5, s, repeats=r),
+        "PAM": lambda s, **kw: pam_from_amplitude(a, q, s, **kw),
+        "MLQAE": lambda s, **kw: mlqae_from_amplitude(a, q, s, **kw),
+        "IQAE": lambda s, **kw: iqae_from_amplitude(a, q, s, **kw),
+        "LCU": lambda s, **kw: lcu_from_amplitude(a, q, 0.5, s, **kw),
     }[kind]
     for seed in (0, 3, 11):
-        batch = call(seed, 1)
+        batch = call(seed, repeats=1)
         assert batch.shape == (1,)
-        assert call(seed).a_hat == batch[0]
-        assert estimate_amplitude(kind, a, q, seed).a_hat == batch[0]
+        assert call(seed).tobytes() == batch.tobytes()  # one repeat by default
+        assert estimate_amplitude(schedule(kind, q), a, seed).tobytes() == batch.tobytes()
         # same draws; the first of more repeats may differ in the last bits
-        assert estimate_amplitude(kind, a, q, seed, repeats=4)[0] == pytest.approx(batch[0], abs=1e-12)
+        more = estimate_amplitude(schedule(kind, q), a, seed, repeats=4)
+        assert more.shape == (4,) and more[0] == pytest.approx(batch[0], abs=1e-12)
 
 
 def test_dispatch_lcu_sub_round_budget_falls_back_to_mlqae():
-    res = estimate_amplitude("LCU", 0.3, 50, seed=2)
-    assert res.fallback
-    assert res.a_hat == mlqae_from_amplitude(0.3, 50, seed=2).a_hat
-    assert not estimate_amplitude("LCU", 0.3, 66, seed=2).fallback
-    res = estimate_amplitude("LCU", exact_amplitude(benchmark_circuit(0.4)), 50, seed=1)
-    assert res.fallback and res.uses_successful == 50
+    record = schedule("LCU", 50)
+    assert record == Schedule("MLQAE", 50, True)
+    assert (estimate_amplitude(record, 0.3, seed=2).tobytes()
+            == mlqae_from_amplitude(0.3, 50, seed=2).tobytes())
+    assert schedule("LCU", 66) == Schedule("LCU", 66)
+    assert schedule_uses(record.levels) == 50
 
 
 def test_dispatch_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        estimate_amplitude("XXX", 0.3, 100)
+    with pytest.raises(ValueError, match="unknown QAE kind"):
+        estimate_amplitude(schedule("XXX", 100), 0.3)
 
 
 def test_estimate_amplitude_dispatch():
     a = exact_amplitude(benchmark_circuit(0.5))
     for kind in ("PAM", "MLQAE", "IQAE", "LCU"):
-        res = estimate_amplitude(kind, a, 200, seed=3)
-        assert 0.0 <= res.a_hat <= 1.0
+        est = estimate_amplitude(schedule(kind, 200), a, seed=3)
+        assert est.shape == (1,) and 0.0 <= est[0] <= 1.0

@@ -12,7 +12,7 @@ from qmci.distributions import (
     gaussian_pdf,
     rescale,
 )
-from qmci import fourier, qae
+from qmci import qae
 from qmci.fourier import plan_terms, qmci_estimate, quantity_series
 from qmci.pbuilder import InstrumentSpec, build_instrument
 from qmci.rebase import count_nisq, rebase_tk1_cnot
@@ -274,22 +274,18 @@ def test_plan_records_are_the_records_that_ran(monkeypatch, qae_kind):
     dc = rescale(exact_pmf_loader(target), 0, -0.5, delta)
     spec = quantity_series("Mean", (dc.dims[0].x_l, dc.dims[0].x_u))
     plan = plan_terms(dc, spec, 0, qae_kind, q_total=3000)
-    ran, dispatch = [], qae.estimate_amplitude
-
-    def recorded(*args, **kw):
-        res = dispatch(*args, **kw)
-        ran.append(res.schedule)
-        return res
-
-    monkeypatch.setattr(fourier.qae_mod, "estimate_amplitude", recorded)
+    ran = []
+    for kind in qae.QAE_LAMBDA:  # every estimator the engine can reach, by its traced name
+        name = f"{kind.lower()}_from_amplitude"
+        run = getattr(qae, name)
+        monkeypatch.setattr(qae, name, lambda a, q, *args, _kind=kind, _run=run, **kw: (
+            ran.append((_kind, q)) or _run(a, q, *args, **kw)))
     res = qmci_estimate(dc, spec, 0, qae_kind, q_total=3000, seed=seed)
-    assert [r.q for r in ran] == [q for (_, _, q, _) in res.per_harmonic]
-    # IQAE's fallback to PAM is decided as it runs, so only the run's record shows it
-    expected = [qae.Schedule("PAM", r.q, True) if r.kind == "IQAE" and qae.opt_ae(r.q) is None
-                else r for r in plan.schedules]
-    assert ran == expected
+    assert [r.q for r in plan.schedules] == [q for (_, _, q, _) in res.per_harmonic]
+    # each harmonic runs its record's estimator, once, on its record's uses
+    assert ran == [(r.kind, r.q) for r in plan.schedules]
     # the plans hold LCU harmonics below one m = 0 round and IQAE ones below 249 uses
-    assert {(r.kind, r.fallback) for r in ran} == {
+    assert {(r.kind, r.fallback) for r in plan.schedules} == {
         "PAM": {("PAM", False)}, "MLQAE": {("MLQAE", False)},
         "LCU": {("LCU", False), ("MLQAE", True)}, "IQAE": {("IQAE", False), ("PAM", True)},
     }[qae_kind]

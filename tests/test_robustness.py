@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmci.qae import estimate_amplitude
+from qmci.qae import estimate_amplitude, schedule
 from qmci.robustness import (
     EstimatorStats,
     amplitude_sweep,
@@ -218,7 +218,7 @@ def test_sweep_cells_equal_per_resample_reference(kind, amps, q_list, repeats, n
     for ai, a in enumerate(amps):
         for qi, q in enumerate(q_list):
             sub = int(np.random.SeedSequence((seed, ai, qi)).generate_state(1)[0])
-            est = estimate_amplitude(kind, a, q, sub, 0.5, repeats=repeats)
+            est = estimate_amplitude(schedule(kind, q), a, sub, 0.5, repeats=repeats)
             st = estimator_stats(est, a)
             ref = {"bias": st.bias, "rmse": st.rmse, "skewness": st.skewness,
                    "excess_kurtosis": st.excess_kurtosis}

@@ -102,14 +102,13 @@ class QuantumCircuit:
 
     def compose(self, other: "QuantumCircuit", offset: int = 0) -> "QuantumCircuit":
         """New circuit: self then other, other's qubits shifted by ``offset``."""
-        n = max(self.n_qubits, offset + other.n_qubits)
-        out = QuantumCircuit(n, self.name)
-        out.gates = list(self.gates)
-        out.boxes = list(self.boxes)
-        for g in other.gates:
-            out.add(Gate(g.kind, g.params, tuple(q + offset for q in g.qubits)))
-        for b in other.boxes:
-            out.boxes.append(replace(b, placement=len(self.gates) + b.placement))
+        if offset < 0:
+            raise ValueError(f"compose offset {offset} is negative")
+        out = QuantumCircuit(max(self.n_qubits, offset + other.n_qubits), self.name)
+        out.gates = self.gates + [Gate(g.kind, g.params, tuple(q + offset for q in g.qubits))
+                                  for g in other.gates]
+        out.boxes = self.boxes + [replace(b, placement=len(self.gates) + b.placement)
+                                  for b in other.boxes]
         return out
 
     def widened(self, n_qubits: int) -> "QuantumCircuit":
@@ -128,8 +127,7 @@ class QuantumCircuit:
         if self.boxes:
             raise ValueError("cannot invert a circuit containing resource boxes")
         out = QuantumCircuit(self.n_qubits, self.name)
-        for g in reversed(self.gates):
-            out.extend(g.inverse_gates())
+        out.gates = [h for g in reversed(self.gates) for h in g.inverse_gates()]
         return out
 
     def key(self):

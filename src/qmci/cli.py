@@ -297,50 +297,22 @@ def cmd_estimate(cfg: dict, out_dir: str) -> list[str]:
 
 def cmd_resources(cfg: dict, out_dir: str) -> list[str]:
     cfg = _read(cfg, "resources")
-    mode, target_mse = cfg["mode"], cfg["target_mse"]
     qae_kind = _read(cfg["qae"], "qae")["qae"]
     if qae_kind == "IQAE":
         raise SchemaError("resources: IQAE has a data-dependent schedule; no resource plan")
     unit = _load_distribution(cfg["distribution"])
     dc, pcfgs, budget = _payoffs(cfg, unit, "resources")
-    plans = []
+    reports = []
     for pc in pcfgs:
         qs, dim = pc.quantity_spec(dc)
-        plans.append(res_mod.build_plan(dc, qs, dim, qae_kind, *budget, condition=pc.condition))
-
-    reports = []
-    for plan in plans:
-        if mode == "nisq":
-            reports.append(res_mod.nisq_report(plan))
-        else:
-            tight = mode == "ft_tight"
-            # by default the squared bound of the planned budget
-            mse = plan.error.bound(plan.q_total) ** 2 if target_mse is None else target_mse
-            sol = res_mod.ft_optimize(plan, mse, tight=tight)
-            rep = res_mod.ft_report(plan, sol)
-            rep.mode = mode
-            reports.append(rep)
-    # combine across plans (additive totals, max largest circuit / qubits)
-    combined = {
-        "mode": mode,
-        "n_qubits": max(r.n_qubits for r in reports),
-        "totals": {
-            k: sum(r.totals.get(k, 0) for r in reports) for k in reports[0].totals
-        },
-        "largest": max((r for r in reports), key=lambda r: sum(r.largest.values())).largest,
-        "per_plan": [r.to_dict() for r in reports],
-    }
-    paths = []
+        plan = res_mod.build_plan(dc, qs, dim, qae_kind, *budget, condition=pc.condition)
+        reports.append(res_mod.report(plan, cfg["mode"], cfg["target_mse"]))
+    combined = res_mod.combine(reports)
     p1 = os.path.join(out_dir, "resource_report.json")
-    _atomic_write(p1, _dump_json(combined))
-    paths.append(p1)
-    rep0 = res_mod.ResourceReport(
-        mode, combined["n_qubits"], combined["totals"], combined["largest"]
-    )
+    _atomic_write(p1, _dump_json({**combined.to_dict(), "per_plan": [r.to_dict() for r in reports]}))
     p2 = os.path.join(out_dir, "resource_report.csv")
-    _atomic_write(p2, rep0.to_csv())
-    paths.append(p2)
-    return paths
+    _atomic_write(p2, combined.to_csv())
+    return [p1, p2]
 
 
 # --------------------------------------------------------------------------

@@ -130,6 +130,7 @@ class PayoffConfig:
 
 MAX_VOLATILITY = 100.0  # the return-space payoff window reaches e^(5 * total_volatility)
 MAX_RATIO = 1e6  # strike, barrier and autocall levels, as multiples of the spot
+MAX_SLICES = 64  # a 64-slice Lookback on the six-qubit unit: 141,531 gates on 5,491 qubits
 
 
 def _rule(rule: Rule, default=MISSING):
@@ -144,7 +145,7 @@ class InstrumentSpec:
 
     instrument: str = _rule(one_of("Barrier", "Lookback", "Autocallable"))
     space: str = _rule(one_of("return", "price"), "return")
-    n_slices: int = _rule(integer(1), 4)
+    n_slices: int = _rule(integer(1, MAX_SLICES), 4)
     total_volatility: float = _rule(real(0, MAX_VOLATILITY), 0.1)
     call_or_put: str = _rule(one_of("call", "put"), "call")
     strike_ratio: float = _rule(real(0, MAX_RATIO), 1.05)

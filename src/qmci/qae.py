@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import QuantumCircuit, controlled_x
+from .gates import gate
 
 C_QAE_REFERENCE = {"PAM": 0.5, "MLQAE": 8.02, "IQAE": 14.4, "LCU": 7.82}
 QAE_LAMBDA = {"PAM": 1, "MLQAE": 2, "IQAE": 2, "LCU": 2}  # RMSE ~ c_QAE / q^(lambda/2)
@@ -73,21 +74,14 @@ def grover_operator(problem: QaeProblem) -> QuantumCircuit:
     a = problem.a_circuit
     n = a.n_qubits
     good = problem.good_qubit
-    q = QuantumCircuit(n, "grover")
-    q.append("S", good).append("S", good)  # S_chi = Z on good
-    q.extend(a.inverse().gates)
-    for w in range(n):
-        q.append("X", w)
+    flips = [gate("X", w) for w in range(n)]
     if n == 1:
-        q.append("S", 0).append("S", 0)
+        s0 = [gate("S", 0)] * 2
     else:
-        t = n - 1
-        q.append("H", t)
-        q.add(controlled_x(range(n - 1), t))
-        q.append("H", t)
-    for w in range(n):
-        q.append("X", w)
-    q.extend(a.gates)
+        s0 = [gate("H", n - 1), controlled_x(range(n - 1), n - 1), gate("H", n - 1)]
+    q = QuantumCircuit(n, "grover")
+    # the operands are in range by construction and A's gates were checked when A was built
+    q.gates = [gate("S", good)] * 2 + a.inverse().gates + flips + s0 + flips + a.gates
     return q
 
 

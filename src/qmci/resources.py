@@ -14,12 +14,16 @@ those of A and Q rebased to {TK1, CNOT} (NISQ) or lowered to rotations
 plus Clifford+T (fault-tolerant), taken by ``rebase``'s per-gate templates
 without building either compiled circuit; the fault-tolerant report walks
 A and Q once more for their T depth at the solved synthesis cost.
+
+``report`` builds a plan's report in any mode, and ``combine`` joins the
+reports of an instrument's legs; each count is stored once, in a report's
+``totals`` and ``largest``.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 from .circuit import QuantumCircuit, ResourceBox
@@ -38,7 +42,6 @@ class QmciPlan:
     grover: QuantumCircuit               # its Grover operator
     schedules: list                      # per harmonic: list of (m, shots)
     q_total: int
-    quantity: str
     c_f: float
     c_qae: float
     quantity_range: float
@@ -63,9 +66,6 @@ class QmciPlan:
 class FtSolution:
     q: int
     epsilon: float
-    t_count_total: int = 0
-    t_depth_total: int = 0
-    per_circuit: list = field(default_factory=list)  # (t_count, t_depth, n_qubits)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -90,12 +90,8 @@ class ResourceReport:
             "largest": self.largest,
         }
         if self.solution is not None:
-            d["solution"] = {
-                "q": self.solution.q,
-                "epsilon": self.solution.epsilon,
-                "t_count_total": self.solution.t_count_total,
-                "t_depth_total": self.solution.t_depth_total,
-            }
+            d["solution"] = {**asdict(self.solution), "t_count_total": self.totals["t_count"],
+                             "t_depth_total": self.totals["t_depth"]}
         return d
 
     def to_json(self, **kw) -> str:
@@ -148,7 +144,6 @@ def build_plan(
         grover=grover_operator(problem),
         schedules=[record.levels for record in run.schedules],
         q_total=run.q_total,
-        quantity=spec.kind,
         c_f=run.error.c_f,
         c_qae=run.error.c_qae,
         quantity_range=run.error.quantity_range,
@@ -161,26 +156,23 @@ def build_plan(
 
 def _tally(plan: QmciPlan, a: dict, q: dict, key: str):
     """Counts of every scheduled circuit, A plus m copies of Q, from the
-    per-field counts ``a`` and ``q``: the shot-weighted totals, the
-    circuit largest by ``key`` (the first of equals) and the per-level
-    [(counts, shots)] list."""
+    per-field counts ``a`` and ``q``: the shot-weighted totals and the
+    circuit largest by ``key`` (the first of equals)."""
     totals = dict.fromkeys(a, 0)
     largest = None
-    levels = []
     for m, shots in (level for sched in plan.schedules for level in sched):
         circ = {f: a[f] + m * q[f] for f in a}
-        levels.append((circ, shots))
         for f in a:
             totals[f] += shots * circ[f]
         if largest is None or circ[key] > largest[key]:
             largest = circ
-    return totals, largest or dict.fromkeys(a, 0), levels
+    return totals, largest or dict.fromkeys(a, 0)
 
 
 def nisq_report(plan: QmciPlan) -> ResourceReport:
     """Totals and largest-circuit counts after rebasing to {TK1, CNOT}."""
     a, q = ({k: v for k, v in asdict(c).items() if k != "n_qubits"} for c in plan.nisq_counts)
-    totals, largest, _ = _tally(plan, a, q, "total_gates")
+    totals, largest = _tally(plan, a, q, "total_gates")
     return ResourceReport(
         mode="nisq",
         n_qubits=max(c.n_qubits for c in plan.nisq_counts),
@@ -282,8 +274,8 @@ def ft_optimize(
     return FtSolution(q=q, epsilon=eps)
 
 
-def ft_report(plan: QmciPlan, solution: FtSolution) -> ResourceReport:
-    """Per-circuit and total T counts / depths at the solved epsilon.
+def ft_report(plan: QmciPlan, solution: FtSolution, mode: str = "ft") -> ResourceReport:
+    """Total and largest-circuit T counts / depths at the solved epsilon.
 
     Each rotation costs ceil(3 log2(1/epsilon)) sequential T gates on its
     wire; exact Clifford+T content (Toffoli cascades etc.) is counted as
@@ -295,20 +287,31 @@ def ft_report(plan: QmciPlan, solution: FtSolution) -> ResourceReport:
          "t_depth": lowered_t_depth(circ, t_rot)}
         for circ, c in zip((plan.a_circuit, plan.grover), plan.ft_counts)
     )
-    n_qubits = max(c.n_qubits for c in plan.ft_counts)
-    totals, largest, levels = _tally(plan, a, q, "t_count")
-    filled = replace(
-        solution,
-        t_count_total=totals["t_count"],
-        t_depth_total=totals["t_depth"],
-        per_circuit=[(c["t_count"], c["t_depth"], n_qubits, shots) for c, shots in levels],
-    )
+    totals, largest = _tally(plan, a, q, "t_count")
+    return ResourceReport(mode, max(c.n_qubits for c in plan.ft_counts), totals, largest,
+                          solution)
+
+
+def report(plan: QmciPlan, mode: str, target_mse: float | None = None) -> ResourceReport:
+    """The plan's ``nisq`` report, or its ``ft`` / ``ft_tight`` report at
+    ``ft_optimize``'s solution for ``target_mse``, by default the squared
+    error bound at the plan's budget."""
+    if mode == "nisq":
+        return nisq_report(plan)
+    if target_mse is None:
+        target_mse = plan.error.bound(plan.q_total) ** 2
+    return ft_report(plan, ft_optimize(plan, target_mse, tight=mode == "ft_tight"), mode)
+
+
+def combine(reports: list[ResourceReport]) -> ResourceReport:
+    """One report for plans run one after another: summed totals, the
+    widest register, and the largest circuit of the first plan whose
+    largest circuit has the greatest sum of counts."""
     return ResourceReport(
-        mode="ft",
-        n_qubits=n_qubits,
-        totals=totals,
-        largest=largest,
-        solution=filled,
+        mode=reports[0].mode,
+        n_qubits=max(r.n_qubits for r in reports),
+        totals={k: sum(r.totals[k] for r in reports) for k in reports[0].totals},
+        largest=max(reports, key=lambda r: sum(r.largest.values())).largest,
     )
 
 

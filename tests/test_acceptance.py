@@ -323,7 +323,7 @@ def test_criterion_11_ft_optimizer_matches_grid():
             g.append("Ry", i % 3, 0.1 * (i + 1))
         for _ in range(int(rng.integers(1, 5))):
             g.append("Toffoli", (0, 1, 2))
-        plan = QmciPlan(a, g, [[(0, 10)]], 10, "Mean",
+        plan = QmciPlan(a, g, [[(0, 10)]], 10,
                         c_f=float(rng.uniform(1.0, 3.0)),
                         c_qae=float(rng.uniform(5.0, 15.0)),
                         quantity_range=float(rng.uniform(0.5, 2.0)))

@@ -13,11 +13,15 @@ every file that moved, the largest numeric |delta| over its JSON leaves or
 CSV cells, or "text differs"; the exit status is non-zero if any moved:
 
     python tests/test_byte_corpus.py --compare <tree>
+
+``tests/replay_cpu_classes.py`` compares replays of this tree under other
+CPU classes the same way.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -38,7 +42,25 @@ COMMANDS = {"estimate": ["estimate"], "qae-sweep": ["qae-sweep"],
 
 
 def environment() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """The versions and CPU class the output bytes were seen to depend on:
+    numpy's CPU dispatch targets found on this machine, and the core and
+    thread count of numpy's bundled OpenBLAS (None for another BLAS)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    blas = ctypes.CDLL(umath.__file__)  # its symbols include those of the BLAS it links
+    try:
+        corename, threads = blas.scipy_openblas_get_corename64_, blas.scipy_openblas_get_num_threads64_
+    except AttributeError:
+        core = n_threads = None
+    else:
+        corename.argtypes = threads.argtypes = []
+        corename.restype, threads.restype = ctypes.c_char_p, ctypes.c_int
+        core, n_threads = corename().decode(), threads()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+            "blas_core": core, "blas_threads": n_threads}
 
 
 def replay(work_dir: str) -> dict:
@@ -74,17 +96,17 @@ def test_corpus_outputs_match_manifest(tmp_path):
         lines = [f"moved: {k}" for k in moved] + [f"missing: {k}" for k in missing]
         lines += [f"not in manifest: {k}" for k in extra]
         env, rec = environment(), manifest["environment"]
-        if env != rec:
-            lines.insert(0, f"this environment {env} differs from the manifest's {rec}; "
-                            "bytes may move for that reason alone")
+        lines.insert(0, f"this environment: {env}\nthe manifest's:   {rec}" + (
+            "" if env == rec else "\nthey differ, and bytes may move for that reason alone"))
         raise AssertionError("\n".join(lines))
 
 
-def _replay_tree(src: str, out: str) -> None:
-    """Replay the corpus with the package under ``src`` in a new process."""
+def _replay_tree(src: str, out: str, env: dict | None = None) -> None:
+    """Replay the corpus with the package under ``src`` in a new process,
+    with ``env`` added to its environment variables."""
     code = (f"import sys; sys.path.insert(0, {os.path.dirname(CORPUS)!r}); "
             f"import test_byte_corpus as t; t.replay({out!r})")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
@@ -138,13 +160,14 @@ def difference(a: bytes, b: bytes, name: str) -> str:
     return f"max |delta| = {worst:.3g}"
 
 
-def compare(tree: str) -> int:
-    """Print every output file that differs between this tree and ``tree``."""
+def compare(tree: str, env: dict | None = None) -> int:
+    """Print every output file that differs between this tree and ``tree``,
+    replayed with ``env`` added to its environment variables."""
     here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     with tempfile.TemporaryDirectory() as tmp:
         outs = [os.path.join(tmp, "this"), os.path.join(tmp, "that")]
-        for src, out in zip((here, os.path.join(os.path.abspath(tree), "src")), outs):
-            _replay_tree(src, out)
+        _replay_tree(here, outs[0])
+        _replay_tree(os.path.join(os.path.abspath(tree), "src"), outs[1], env)
         files = [sorted(os.path.relpath(os.path.join(d, f), out)
                         for d, _, fs in os.walk(out) for f in fs) for out in outs]
         moved = 0

@@ -44,6 +44,13 @@ def test_compose_offsets_qubits():
     assert c.gates[1].qubits == (3,)
 
 
+def test_compose_rejects_negative_offset():
+    a = QuantumCircuit(2).append("H", 0)
+    for b in (QuantumCircuit(2).append("X", 1), QuantumCircuit(2)):
+        with pytest.raises(ValueError, match="negative"):
+            a.compose(b, offset=-1)
+
+
 def test_inverse_undoes_circuit():
     rng = np.random.default_rng(3)
     qc = QuantumCircuit(3)

@@ -319,6 +319,24 @@ def test_unknown_instrument_exits_2(tmp_path, command, capsys):
 
 
 @pytest.mark.parametrize("command", ["estimate", "resources"])
+def test_too_many_slices_exits_2_before_building(tmp_path, monkeypatch, command, capsys):
+    # n_slices is capped at 64: a 65-slice Lookback is refused before the
+    # instrument's circuit is built
+    from qmci import pbuilder
+
+    def build(*a):
+        raise AssertionError("build_instrument called")
+
+    monkeypatch.setattr(pbuilder, "build_instrument", build)
+    cfg = {"seed": 1, "mode": "nisq", "distribution": UNIT_2Q,
+           "instrument": {"instrument": "Lookback", "n_slices": 65, "q_budget": 100}}
+    if command == "estimate":
+        del cfg["mode"]
+    assert run([command, write(tmp_path, "c.json", cfg), "--out-dir", tmp_path / "o"]) == 2
+    assert "n_slices must be an integer in [1, 64], got 65" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "resources"])
 def test_bad_call_or_put_exits_2(tmp_path, command, capsys):
     cfg = {
         "seed": 1, "mode": "nisq",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qmci import qae
-from qmci.circuit import QuantumCircuit
+from qmci.circuit import QuantumCircuit, controlled_x
 from qmci.qae import (
     QaeProblem,
     Schedule,
@@ -619,3 +619,44 @@ def test_estimate_amplitude_dispatch():
     for kind in ("PAM", "MLQAE", "IQAE", "LCU"):
         est = estimate_amplitude(schedule(kind, 200), a, seed=3)
         assert est.shape == (1,) and 0.0 <= est[0] <= 1.0
+
+
+def _grover_gate_by_gate(problem):
+    """Q as a builder would add it, every gate checked by ``add``."""
+    a, good = problem.a_circuit, problem.good_qubit
+    n = a.n_qubits
+    q = QuantumCircuit(n, "grover").append("S", good).append("S", good)
+    for g in reversed(a.gates):
+        for h in g.inverse_gates():
+            q.add(h)
+    for w in range(n):
+        q.append("X", w)
+    if n == 1:
+        q.append("S", 0).append("S", 0)
+    else:
+        q.append("H", n - 1).add(controlled_x(range(n - 1), n - 1)).append("H", n - 1)
+    for w in range(n):
+        q.append("X", w)
+    for g in a.gates:
+        q.add(g)
+    return q
+
+
+def _mcx_problem():
+    a = QuantumCircuit(5, "mcx")
+    for w in range(4):
+        a.append("Ry", w, 0.3 + 0.1 * w)
+    a.append("S", 1).append("T", 2).append("Tdg", 3).append("CRz", (0, 4), 0.7)
+    a.append("MultiControlledX", (0, 1, 2, 3, 4)).append("TK1", 4, 0.1, 0.2, 0.3)
+    return QaeProblem(a, 4)
+
+
+@pytest.mark.parametrize("problem", [
+    QaeProblem(QuantumCircuit(1).append("Ry", 0, 0.3), 0),
+    benchmark_circuit(0.4),
+    _mcx_problem(),
+], ids=["n1", "n2", "mcx"])
+def test_grover_operator_equals_gate_by_gate_build(problem):
+    q, ref = grover_operator(problem), _grover_gate_by_gate(problem)
+    assert (q.n_qubits, q.name, q.boxes) == (ref.n_qubits, ref.name, ref.boxes)
+    assert q.gates == ref.gates

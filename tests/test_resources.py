@@ -42,7 +42,6 @@ def tiny_plan(schedules=None, n_toffoli=2, n_rot=4):
         grover=g,
         schedules=schedules or [[(0, 10), (1, 5)]],
         q_total=sum(s * (2 * m + 1) for sched in (schedules or [[(0, 10), (1, 5)]]) for m, s in sched),
-        quantity="Mean",
         c_f=1.68,
         c_qae=8.02,
         quantity_range=1.0,
@@ -51,7 +50,7 @@ def tiny_plan(schedules=None, n_toffoli=2, n_rot=4):
 
 def test_empty_plan_reports_zero():
     plan = QmciPlan(QuantumCircuit(1), QuantumCircuit(1), [[(0, 1)]], 1,
-                    "Mean", 1.0, 1.0, 1.0)
+                    1.0, 1.0, 1.0)
     rep = nisq_report(plan)
     assert all(v == 0 for v in rep.totals.values())
 
@@ -162,7 +161,7 @@ def test_ft_monotone_in_target():
 def test_ft_report_zero_rotation_circuit_independent_of_eps():
     a = QuantumCircuit(3)
     g = QuantumCircuit(3).append("Toffoli", (0, 1, 2))
-    plan = QmciPlan(a, g, [[(1, 2)]], 6, "Mean", 1.0, 1.0, 1.0)
+    plan = QmciPlan(a, g, [[(1, 2)]], 6, 1.0, 1.0, 1.0)
     r1 = ft_report(plan, FtSolution(q=6, epsilon=1e-3))
     r2 = ft_report(plan, FtSolution(q=6, epsilon=1e-9))
     assert r1.totals["t_count"] == r2.totals["t_count"] == 2 * 7
@@ -171,18 +170,61 @@ def test_ft_report_zero_rotation_circuit_independent_of_eps():
 def test_ft_report_halving_eps_adds_three_per_rotation():
     a = QuantumCircuit(1).append("Ry", 0, 0.3)
     g = QuantumCircuit(1).append("Ry", 0, 0.6)
-    plan = QmciPlan(a, g, [[(1, 1)]], 3, "Mean", 1.0, 1.0, 1.0)
+    plan = QmciPlan(a, g, [[(1, 1)]], 3, 1.0, 1.0, 1.0)
     eps = 2.0**-20
     t1 = ft_report(plan, FtSolution(q=3, epsilon=eps)).totals["t_count"]
     t2 = ft_report(plan, FtSolution(q=3, epsilon=eps / 2)).totals["t_count"]
     assert t2 - t1 == 3 * 2  # two rotations in the A + Q circuit at m = 1
 
 
-def test_ft_solution_totals_sum_per_circuit():
-    plan = tiny_plan(schedules=[[(0, 4), (1, 2)], [(0, 3)]])
-    rep = ft_report(plan, FtSolution(q=plan.q_total, epsilon=1e-4))
-    total = sum(tc * shots for (tc, td, nq, shots) in rep.solution.per_circuit)
-    assert rep.solution.t_count_total == total == rep.totals["t_count"]
+@pytest.mark.parametrize("mode", ["nisq", "ft", "ft_tight"])
+def test_resources_combines_autocallable_legs(tmp_path, monkeypatch, mode):
+    # a two-leg Autocallable: the top-level totals are the sums over the
+    # legs, n_qubits their maximum and largest the largest circuit of the
+    # leg whose largest circuit is biggest; an FT leg's solution totals are
+    # its totals, at the default target, the squared bound at its budget
+    from qmci import resources
+    from qmci.cli import main
+
+    plans, targets = [], []
+    build, optimize = resources.build_plan, resources.ft_optimize
+    monkeypatch.setattr(resources, "build_plan",
+                        lambda *a, **kw: plans.append(build(*a, **kw)) or plans[-1])
+    monkeypatch.setattr(resources, "ft_optimize",
+                        lambda plan, target, tight: targets.append(target)
+                        or optimize(plan, target, tight))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "mode": mode,
+        "distribution": {"source": "gaussian", "n_qubits": 2, "mu": 0.0, "sigma": 1.0,
+                         "x_l": -5.0, "delta": 10 / 3},
+        "instrument": {"instrument": "Autocallable", "n_slices": 1, "total_volatility": 0.4,
+                       "strike_ratio": 0.95, "barrier_ratio": 0.8,
+                       "autocall_schedule": [[1, 1.0, 0.1]], "q_budget": 2000},
+    }))
+    assert main(["resources", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    doc = json.loads((tmp_path / "o" / "resource_report.json").read_text())
+    legs = doc["per_plan"]
+    assert len(legs) == len(plans) == 2
+    assert legs[0]["largest"] != legs[1]["largest"]
+    assert doc["mode"] == legs[0]["mode"] == legs[1]["mode"] == mode
+    assert doc["totals"] == {k: legs[0]["totals"][k] + legs[1]["totals"][k]
+                             for k in legs[0]["totals"]}
+    assert doc["n_qubits"] == max(leg["n_qubits"] for leg in legs)
+    biggest = max(legs, key=lambda leg: sum(leg["largest"].values()))
+    assert doc["largest"] == biggest["largest"]
+    csv = (tmp_path / "o" / "resource_report.csv").read_text().splitlines()
+    cols = csv[0].split(",")[2:]
+    assert csv[1] == ",".join(["total", str(doc["n_qubits"])] + [str(doc["totals"][c]) for c in cols])
+    assert "solution" not in doc
+    if mode == "nisq":
+        assert targets == [] and all("solution" not in leg for leg in legs)
+        return
+    assert targets == [p.error.bound(p.q_total) ** 2 for p in plans]
+    for leg in legs:
+        sol = leg["solution"]
+        assert (sol["t_count_total"], sol["t_depth_total"]) == (
+            leg["totals"]["t_count"], leg["totals"]["t_depth"])
 
 
 def test_resource_box_empty_no_change():
@@ -452,7 +494,7 @@ def test_ft_optimize_extreme_targets(n_rot, tight):
     import warnings
 
     plan = QmciPlan(QuantumCircuit(2), QuantumCircuit(2), [[(0, 1)]], 1,
-                    "Mean", 1.68, 8.02, 1.0)
+                    1.68, 8.02, 1.0)
     for _ in range(n_rot):
         plan.grover.append("Ry", 0, 0.3)
     plan.grover.append("T", 1)

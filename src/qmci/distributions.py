@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuit import QuantumCircuit
-from .gates import gate
+from .gates import Gate
 from .simulator import exact_marginal, simulate
 
 MAX_LOADER_QUBITS = 20  # widest loader a config may ask for: 2^20 entries, 8 MB a vector
@@ -200,25 +200,38 @@ def standard_circuit(kind: str) -> DistributionCircuit:
 # exact PMF loader (uniformly controlled Ry tree, no ancillas)
 
 
-def _multiplexed_ry(controls: list[int], target: int, angles: np.ndarray) -> list:
+def _multiplexed_ry(controls: list[int], target: int, angles: np.ndarray) -> list[Gate]:
     """Uniformly controlled Ry: rotation angles[v] when the control register
-    (MSB first) reads v.  Expands to plain Ry and CNOT gates."""
-    out = []
-    if np.max(np.abs(angles), initial=0.0) < 1e-15:
-        return out
-    if not controls:
-        out.append(gate("Ry", target, float(angles[0])))
-        return out
-    half = len(angles) // 2
-    s = (angles[:half] + angles[half:]) / 2.0
-    d = (angles[:half] - angles[half:]) / 2.0
-    rest = controls[1:]
-    out += _multiplexed_ry(rest, target, s)
-    if np.max(np.abs(d), initial=0.0) >= 1e-15:
-        out.append(gate("CNOT", (controls[0], target)))
-        out += _multiplexed_ry(rest, target, d)
-        out.append(gate("CNOT", (controls[0], target)))
-    return out
+    (MSB first) reads v.  Expands to plain Ry and CNOT gates.
+
+    The expansion is a binary tree (Moettoenen et al., quant-ph/0407010):
+    a node's angle vector splits into the half-sum s and the half-difference
+    d of its two halves, and the d child runs between two CNOTs from the
+    node's control.  A node whose angles are all below 1e-15 in magnitude
+    emits nothing, not even its CNOTs; its children are below it too, since
+    |(a +- b) / 2| <= max(|a|, |b|) survives rounding.  Each level's split
+    is one array expression; the gate lists are then joined bottom-up, leaf
+    Ry gates first."""
+    k = len(controls)
+    level = angles.reshape(1, -1)
+    live = [np.abs(level).max(axis=1) >= 1e-15]
+    for _ in range(k):
+        rows, half = level.shape[0], level.shape[1] // 2
+        a, b = level[:, :half], level[:, half:]
+        split = np.empty((rows, 2, half))  # node i's children: 2i = s, 2i + 1 = d
+        np.add(a, b, out=split[:, 0])
+        np.subtract(a, b, out=split[:, 1])
+        split /= 2.0
+        level = split.reshape(2 * rows, half)
+        live.append(np.abs(level).max(axis=1) >= 1e-15)
+    parts = [[Gate("Ry", (a,), (target,))] if on else []
+             for a, on in zip(level[:, 0].tolist(), live[k].tolist())]
+    for depth in range(k - 1, -1, -1):
+        cnot = Gate("CNOT", (), (controls[depth], target))
+        d_live = live[depth + 1][1::2].tolist()
+        parts = [s + [cnot] + d + [cnot] if on else s
+                 for s, d, on in zip(parts[::2], parts[1::2], d_live)]
+    return parts[0]
 
 
 def exact_pmf_loader(pmf) -> DistributionCircuit:
@@ -246,7 +259,7 @@ def exact_pmf_loader(pmf) -> DistributionCircuit:
         angles = np.where(
             m0 + m1 > 0, 2.0 * np.arctan2(np.sqrt(m1), np.sqrt(m0)), 0.0
         )
-        qc.extend(_multiplexed_ry(list(range(j)), j, angles))
+        qc.gates += _multiplexed_ry(list(range(j)), j, angles)  # qubits < n: no per-gate check
     return DistributionCircuit(qc, [Dimension(tuple(range(n)), 0.0, 1.0)])
 
 

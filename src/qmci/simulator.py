@@ -13,9 +13,24 @@ through the rest as bit-sliced columns (Jaques & Haener,
 arXiv:2105.01533), so an instrument on a wide register costs what its
 support costs.
 
+``apply_gate`` works on strided views of the state: the pair view (every
+control at 1) and the partner view (the same with the target axis
+reversed).  A permutation gate copies the partner view onto the pair view.
+A circuit of real gates (X, CNOT, Toffoli, MultiControlledX, H, Ry, CRy)
+runs on float64 amplitudes, where a rotation makes each amplitude
+diagonal * amplitude + off-diagonal * partner: one rounded sum of two
+rounded products, with cos and sin of theta/2 from ``math``.  That is the
+complex path's arithmetic on real values, so a float64 state is the real
+part of the complex one up to the sign of zero, and its squares, marginals
+and every output read from them are the same bits.  Any other circuit runs
+on complex amplitudes, with a 2x2 complex matrix per gate.
+
 All operations are deterministic; measurement never happens in-simulation.
 """
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +40,8 @@ from .gates import Gate, single_qubit_matrix
 MAX_SIM_QUBITS = 30  # widest state (or prefix block) simulated densely
 MAX_SUPPORT_ROWS = 2**24  # basis rows a permutation suffix carries
 _PERMUTATION_GATES = frozenset(("X", "CNOT", "Toffoli", "MultiControlledX"))
+_REAL_GATES = _PERMUTATION_GATES | {"H", "Ry", "CRy"}  # simulated on float64 states
+_SQ2 = 1.0 / np.sqrt(2.0)  # H's entries, as ``gates`` writes them
 _EPS = float(np.finfo(float).eps)
 _CHUNK = 2**14  # amplitudes a gate updates at a time (256 KB: cache-resident)
 
@@ -40,42 +57,73 @@ def zero_state(n_qubits: int) -> np.ndarray:
     return state
 
 
-def _pair(view: np.ndarray, controls, target: int):
-    """The two sub-blocks with every control at 1 and ``target`` at 0 and
-    at 1.  Slices, not integers, keep them views even of one amplitude."""
-    idx = [slice(None)] * view.ndim
+@lru_cache(maxsize=256)
+def _layout(n: int, qubits: tuple, chunk: int):
+    """How ``apply_gate`` views a state of shape ``(2,) * n`` for a gate on
+    ``qubits`` (target last).
+
+    The pair view fixes every control at 1 and keeps the target axis; the
+    partner view is the same with the target axis reversed, so it holds
+    each amplitude's partner.  Returns their index tuples per chunk of at
+    most ``2 * chunk`` amplitudes (split along the leading qubits the gate
+    does not touch, each kept as an axis of length 1), the index tuples of
+    the target's 0 and 1 halves within a pair view, and the signs (-1, +1)
+    along the target axis, shaped to broadcast over a pair view.
+    """
+    *controls, target = qubits
+    pair = [slice(None)] * n
     for c in controls:
-        idx[c] = slice(1, 2)
-    idx[target] = slice(0, 1)
-    a = view[tuple(idx)]
-    idx[target] = slice(1, 2)
-    return a, view[tuple(idx)]
-
-
-def _chunks(a: np.ndarray, b: np.ndarray):
-    """Matching sub-views of two equally shaped views, split along their
-    leading axes into chunks of at most ``_CHUNK`` amplitudes."""
-    k, size = 0, a.size
-    while size > _CHUNK:
-        size //= a.shape[k]
-        k += 1
-    if k == 0:
-        return ((a, b),)
-    return ((a[i], b[i]) for i in np.ndindex(a.shape[:k]))
+        pair[c] = 1
+    flip = list(pair)
+    flip[target] = slice(None, None, -1)
+    size, split = 2 ** (n - len(controls)), []
+    for q in range(n):
+        if size <= 2 * chunk:
+            break
+        if q not in qubits:
+            split.append(q)
+            size //= 2
+    chunks = []
+    for bits in np.ndindex((2,) * len(split)):
+        for q, b in zip(split, bits):
+            pair[q] = flip[q] = slice(b, b + 1)
+        chunks.append((tuple(pair), tuple(flip)))
+    axis = target - sum(c < target for c in controls)  # in the pair view
+    halves = tuple((slice(None),) * axis + (slice(b, b + 1),) for b in (0, 1))
+    sign = np.array((-1.0, 1.0)).reshape((2,) + (1,) * (n - len(qubits) - axis))
+    return tuple(chunks), halves, sign
 
 
 def apply_gate(state: np.ndarray, g: Gate, n: int) -> None:
-    """Apply ``g`` in place, a cache-sized chunk at a time."""
-    q = g.qubits
-    pairs = _chunks(*_pair(state.reshape([2] * n), q[:-1], q[-1]))
-    if g.kind in ("X", "CNOT", "Toffoli", "MultiControlledX"):
-        for a, b in pairs:
-            tmp = a.copy()
-            a[...] = b
-            b[...] = tmp
+    """Apply ``g`` in place, a cache-sized chunk at a time, to ``state``:
+    2^n amplitudes, flat or already of shape ``(2,) * n``, float64 (real
+    gates only) or complex.  On float64 amplitudes a rotation rounds as on
+    complex ones (module docstring); cos and sin of theta/2 are taken as
+    ``ry_matrix`` takes them."""
+    chunks, halves, sign = _layout(n, g.qubits, _CHUNK)
+    view = state if state.ndim == n else state.reshape((2,) * n)
+    if g.kind in _PERMUTATION_GATES:
+        for pair, flip in chunks:
+            view[pair] = view[flip]  # numpy buffers the right side, which overlaps the left
+        return
+    if state.dtype != complex:
+        if g.kind == "H":
+            diag, off = sign * -_SQ2, _SQ2
+        elif g.kind in ("Ry", "CRy"):
+            half = g.params[0] / 2
+            diag, off = math.cos(half), sign * math.sin(half)
+        else:
+            raise ValueError(f"{g.kind} is not a real gate")
+        for pair, flip in chunks:
+            t = view[flip] * off
+            p = view[pair]
+            p *= diag
+            p += t
         return
     m = single_qubit_matrix(g)
-    for a, b in pairs:
+    for pair, _ in chunks:
+        p = view[pair]
+        a, b = p[halves[0]], p[halves[1]]
         if a.size == 1:  # scalars: numpy rounds them apart from its array loops
             a0, b0 = a.reshape(-1)[0], b.reshape(-1)[0]
         else:
@@ -86,6 +134,10 @@ def apply_gate(state: np.ndarray, g: Gate, n: int) -> None:
 
 def simulate(circuit: QuantumCircuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Exact final amplitudes of ``circuit`` applied to ``initial`` (default all-zero).
+
+    A circuit of real gates on a real ``initial`` state runs on, and
+    returns, float64 amplitudes: the real parts of the complex ones up to
+    the sign of zero (module docstring).  Any other runs complex.
 
     Raises ValueError on dimension mismatch, on circuits containing
     resource boxes, and if the final norm is not 1 within rounding (the
@@ -99,17 +151,20 @@ def simulate(circuit: QuantumCircuit, initial: np.ndarray | None = None) -> np.n
     n = circuit.n_qubits
     if n > MAX_SIM_QUBITS:
         raise ValueError(f"{n} qubits exceeds simulator limit {MAX_SIM_QUBITS}")
+    real = all(g.kind in _REAL_GATES for g in circuit.gates)
     if initial is None:
-        state = zero_state(n)
+        state = np.zeros(2**n, dtype=float if real else complex)
+        state[0] = 1.0
     else:
-        initial = np.asarray(initial, dtype=complex)
-        if initial.shape != (2**n,):
+        real = real and not np.iscomplexobj(initial)
+        state = np.array(initial, dtype=float if real else complex)
+        if state.shape != (2**n,):
             raise ValueError(
-                f"initial state has dimension {initial.shape}, circuit needs {2**n}"
+                f"initial state has dimension {state.shape}, circuit needs {2**n}"
             )
-        state = initial.copy()
+    view = state.reshape((2,) * n)
     for g in circuit.gates:
-        apply_gate(state, g, n)
+        apply_gate(view, g, n)
     _check_norm(float(np.sum(state.real**2 + state.imag**2)), circuit)  # pairwise sum
     return state
 

@@ -6,8 +6,10 @@ import pytest
 
 from qmci.circuit import QuantumCircuit
 from qmci.distributions import (
+    Dimension,
     DistributionCircuit,
     _l2_sweep,
+    _multiplexed_ry,
     _norm_cost,
     _rotated_costs,
     _rotation_pair,
@@ -116,6 +118,86 @@ def test_exact_loader_random(rng):
         dc = exact_pmf_loader(pmf)
         assert np.abs(dc.dim_pmf(0) - pmf).max() < 1e-10
         assert len(dc.ancillas) == 0
+
+
+def _recursive_multiplexed_ry(controls, target, angles):
+    """The multiplexor expansion as one recursive call per tree node: the
+    reference for the level-at-a-time build."""
+    out = []
+    if np.max(np.abs(angles), initial=0.0) < 1e-15:
+        return out
+    if not controls:
+        out.append(gate("Ry", target, float(angles[0])))
+        return out
+    half = len(angles) // 2
+    s = (angles[:half] + angles[half:]) / 2.0
+    d = (angles[:half] - angles[half:]) / 2.0
+    rest = controls[1:]
+    out += _recursive_multiplexed_ry(rest, target, s)
+    if np.max(np.abs(d), initial=0.0) >= 1e-15:
+        out.append(gate("CNOT", (controls[0], target)))
+        out += _recursive_multiplexed_ry(rest, target, d)
+        out.append(gate("CNOT", (controls[0], target)))
+    return out
+
+
+def _recursive_loader(pmf):
+    """``exact_pmf_loader`` built gate by gate on the recursive expansion."""
+    n = int(math.log2(len(pmf)))
+    qc = QuantumCircuit(n, "exact_pmf")
+    masses = [pmf]
+    for _ in range(n):
+        masses.append(masses[-1].reshape(-1, 2).sum(axis=1))
+    masses.reverse()
+    for j in range(n):
+        pref = masses[j + 1].reshape(-1, 2)
+        m0, m1 = pref[:, 0], pref[:, 1]
+        angles = np.where(m0 + m1 > 0, 2.0 * np.arctan2(np.sqrt(m1), np.sqrt(m0)), 0.0)
+        qc.extend(_recursive_multiplexed_ry(list(range(j)), j, angles))
+    return DistributionCircuit(qc, [Dimension(tuple(range(n)), 0.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [
+        [0.3, -0.3],  # s child empty, d child not
+        [0.0, 0.0, 0.0, 0.0],
+        [1.5e-15, 0.0],  # live root, both children below 1e-15: nothing
+        [3e-15, 0.0, 0.0, 0.0],  # the same under a d node: a bare CNOT pair
+        [0.7, 0.0, 0.0, 0.7],  # the d child's s child cancels exactly
+        [0.2, 0.2, -0.2, -0.2],
+        [1e-16, 0.0, 0.0, 3e-15, 0.5, 0.5, 0.5, 0.5],
+    ],
+)
+def test_multiplexed_ry_equals_recursive_expansion(angles):
+    angles = np.array(angles)
+    k = int(math.log2(len(angles)))
+    assert _multiplexed_ry(list(range(k)), k, angles) == _recursive_multiplexed_ry(
+        list(range(k)), k, angles
+    )
+
+
+def _loader_pmfs(n, rng):
+    """Random, zero-mass, one-hot and mirror-symmetric PMFs, and one whose
+    last-level angles read (x, 0, 0, x), on 2^n points."""
+    dense = rng.random(2**n)
+    sparse = dense * (rng.random(2**n) < 0.4)
+    sparse[0] += 0.1
+    one_hot = np.zeros(2**n)
+    one_hot[rng.integers(2**n)] = 1.0
+    pmfs = [dense, sparse, one_hot, dense + dense[::-1], np.round(dense, 1) + 0.1]
+    if n >= 3:
+        pattern = np.array([1.0, 2.0, 3.0, 0.0, 4.0, 0.0, 1.0, 2.0])
+        pmfs.append(np.tile(pattern, 2 ** (n - 3)))
+    return [p / p.sum() for p in pmfs]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_exact_loader_equals_recursive_build(n):
+    for pmf in _loader_pmfs(n, np.random.default_rng(200 + n)):
+        got, want = exact_pmf_loader(pmf), _recursive_loader(pmf)
+        assert got.to_json() == want.to_json()
+        assert got.circuit.key() == want.circuit.key()
 
 
 def test_exact_loader_validation():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmci.circuit import QuantumCircuit
-from qmci.simulator import marginal_pmf, simulate, zero_state
+from qmci.distributions import exact_pmf_loader, hwe_circuit
+from qmci.gates import single_qubit_matrix
+from qmci.simulator import exact_marginal, marginal_pmf, simulate, zero_state
 
 
 def test_hadamard_on_zero():
@@ -162,3 +164,139 @@ def test_random_circuits_keep_unit_norm(seed):
 def test_simulate_rejects_nan_state():
     with pytest.raises(ValueError, match="norm"):
         simulate(QuantumCircuit(1).append("Ry", 0, float("nan")))
+
+
+# --------------------------------------------------------------------------
+# the float64 path against the complex reference: every gate on a complex
+# state, one cache-sized chunk at a time, as the simulator ran all circuits
+
+
+def _reference_pair(view, controls, target):
+    idx = [slice(None)] * view.ndim
+    for c in controls:
+        idx[c] = slice(1, 2)
+    idx[target] = slice(0, 1)
+    a = view[tuple(idx)]
+    idx[target] = slice(1, 2)
+    return a, view[tuple(idx)]
+
+
+def _reference_chunks(a, b, chunk=2**14):
+    k, size = 0, a.size
+    while size > chunk:
+        size //= a.shape[k]
+        k += 1
+    if k == 0:
+        return ((a, b),)
+    return ((a[i], b[i]) for i in np.ndindex(a.shape[:k]))
+
+
+def _reference_apply_gate(state, g, n):
+    q = g.qubits
+    pairs = _reference_chunks(*_reference_pair(state.reshape([2] * n), q[:-1], q[-1]))
+    if g.kind in ("X", "CNOT", "Toffoli", "MultiControlledX"):
+        for a, b in pairs:
+            tmp = a.copy()
+            a[...] = b
+            b[...] = tmp
+        return
+    m = single_qubit_matrix(g)
+    for a, b in pairs:
+        if a.size == 1:
+            a0, b0 = a.reshape(-1)[0], b.reshape(-1)[0]
+        else:
+            a0, b0 = a.copy(), b.copy()
+        a[...] = m[0, 0] * a0 + m[0, 1] * b0
+        b[...] = m[1, 0] * a0 + m[1, 1] * b0
+
+
+def _reference_simulate(qc):
+    state = zero_state(qc.n_qubits)
+    for g in qc.gates:
+        _reference_apply_gate(state, g, qc.n_qubits)
+    return state
+
+
+def _assert_real_path_matches(qc):
+    got, want = simulate(qc), _reference_simulate(qc)
+    assert got.dtype == np.float64
+    assert (np.abs(got) ** 2).tobytes() == (np.abs(want) ** 2).tobytes()
+    assert np.array_equal(got, want.real)  # == ignores only the sign of zero
+
+
+def _test_pmfs(n, rng):
+    """A random PMF, one with zero masses, and a one-hot PMF on 2^n points."""
+    dense = rng.random(2**n)
+    sparse = dense * (rng.random(2**n) < 0.5)
+    sparse[rng.integers(2**n)] += 0.5
+    one_hot = np.zeros(2**n)
+    one_hot[rng.integers(2**n)] = 1.0
+    return [p / p.sum() for p in (dense, sparse, one_hot)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_real_path_matches_complex_reference_on_loaders(n):
+    for pmf in _test_pmfs(n, np.random.default_rng(100 + n)):
+        qc = exact_pmf_loader(pmf).circuit
+        _assert_real_path_matches(qc)
+        qubits = list(range(n))[::-1]
+        want = marginal_pmf(_reference_simulate(qc), qubits)
+        assert exact_marginal(qc, qubits).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n_layers", range(4))
+def test_real_path_matches_complex_reference_on_hwe(n, n_layers):
+    rng = np.random.default_rng(10 * n + n_layers)
+    _assert_real_path_matches(hwe_circuit(rng.uniform(0.0, 2.0 * np.pi, (n_layers + 1, n))))
+
+
+_MIXED_KINDS = ("Ry", "X", "H", "CRy", "CNOT", "Toffoli", "MultiControlledX")
+
+
+def _mixed_circuit(n, rng, kinds, n_gates=40):
+    qc = QuantumCircuit(n)
+    for _ in range(n_gates):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        width = {"CRy": 2, "CNOT": 2, "Toffoli": 3, "MultiControlledX": min(n, 5)}.get(kind, 1)
+        if width > n or (kind == "MultiControlledX" and n < 4):
+            continue
+        qubits = tuple(int(q) for q in rng.permutation(n)[:width])
+        params = [float(rng.uniform(-7.0, 7.0))] if kind in ("Ry", "CRy", "Rz") else []
+        qc.append(kind, qubits, *params)
+    return qc
+
+
+@pytest.mark.parametrize("chunk", [2**14, 4])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_real_path_matches_complex_reference_on_mixed_circuits(monkeypatch, n, chunk):
+    import qmci.simulator as sim
+
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    rng = np.random.default_rng(1000 * n + chunk)
+    qc = QuantumCircuit(max(n, 3))
+    # a control above its target, then Toffoli and MultiControlledX either way round
+    qc.append("Ry", 2, 0.4).append("CNOT", (2, 0)).append("Toffoli", (2, 1, 0))
+    if qc.n_qubits >= 4:
+        qc.append("MultiControlledX", tuple(range(qc.n_qubits - 1, -1, -1)))
+    _assert_real_path_matches(qc)
+    for _ in range(5):
+        _assert_real_path_matches(_mixed_circuit(n, rng, _MIXED_KINDS))
+
+
+@pytest.mark.parametrize("kind", ["Rz", "T"])
+def test_complex_circuits_match_complex_reference(kind):
+    rng = np.random.default_rng(7)
+    for n in (1, 3, 6):
+        qc = _mixed_circuit(n, rng, _MIXED_KINDS + (kind,) * 3)
+        qc.append(kind, n - 1, *([0.3] if kind == "Rz" else []))
+        got = simulate(qc)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == _reference_simulate(qc).tobytes()
+
+
+def test_real_path_keeps_a_real_initial_state_real():
+    qc = QuantumCircuit(2).append("Ry", 0, 0.7).append("CNOT", (0, 1))
+    start = simulate(QuantumCircuit(2).append("H", 1))
+    assert simulate(qc, initial=start).dtype == np.float64
+    assert simulate(qc, initial=start.astype(complex)).dtype == np.complex128
